@@ -146,16 +146,16 @@ fn main() {
     }
     let cold = svc.stats();
     for req in &reqs {
-        let out = svc.compile_tournament(req).expect("hot tournament");
-        if !out.shape_hit {
+        let before = svc.stats();
+        svc.compile_tournament(req).expect("hot tournament");
+        let after = svc.stats();
+        if after.shape_hits != before.shape_hits + 1 {
             eprintln!("CHECK FAILED: second pass missed the shape cache");
             failed = true;
         }
-        if !out.guard_fallback && out.entrants_run != 1 {
-            eprintln!(
-                "CHECK FAILED: shape-cache hot path ran {} entrants, expected 1",
-                out.entrants_run
-            );
+        let entrants = after.tournament_entrants - before.tournament_entrants;
+        if after.guard_fallbacks == before.guard_fallbacks && entrants != 1 {
+            eprintln!("CHECK FAILED: shape-cache hot path ran {entrants} entrants, expected 1");
             failed = true;
         }
     }

@@ -22,7 +22,6 @@
 pub mod csv;
 pub mod fig7;
 pub mod render;
-pub mod sharded;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -232,7 +232,7 @@ pub fn measure_budget(w: &Workload, budget: usize) -> BudgetRow {
             winner: t.label.clone(),
             blocks: t.score,
             improvement: percent_improvement(bb.blocks_executed, t.score),
-            stats: t.winner.stats,
+            stats: t.compiled.stats,
         },
         Err(e) => return BudgetRow::poisoned(w.name.clone(), format!("{}: {e}", w.name)),
     };

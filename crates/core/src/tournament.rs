@@ -12,10 +12,12 @@
 //! and tie-breaking are fully deterministic, so a tournament run at any
 //! worker count picks the same winner.
 //!
-//! This module is the *sequential* core. The compile service layers the
-//! parallel path on top (portfolio fan-out through `submit_batch`) plus a
-//! CFG-shape cache so recurring shapes skip the tournament entirely; see
-//! `chf-service`.
+//! Selection lives in one routine, [`select_winner`], which takes the
+//! baseline and an *entrant executor* that compiles the portfolio.
+//! [`run_tournament`] passes a sequential `try_compile` map; the compile
+//! service passes its `submit_batch` fan-out and adds a CFG-shape cache so
+//! recurring shapes skip the full portfolio (see `chf-service`). Scoring and
+//! tie-breaking never depend on the executor, so both pick the same winner.
 
 use crate::pipeline::{try_compile, CompileConfig, Compiled};
 use crate::policy::PolicyKind;
@@ -94,7 +96,7 @@ impl TournamentConfig {
 }
 
 /// Stable label for one `(policy, budget)` entrant.
-pub fn entrant_label(policy: PolicyKind, budget: Option<usize>) -> String {
+fn entrant_label(policy: PolicyKind, budget: Option<usize>) -> String {
     match budget {
         Some(b) => format!("{}@{b}", policy.label()),
         None => format!("{}@unb", policy.label()),
@@ -124,7 +126,7 @@ pub struct TournamentResult {
     /// The winning artifact, with
     /// [`FormationStats::tournament_entrants`](crate::FormationStats)
     /// stamped to the portfolio size that produced it.
-    pub winner: Compiled,
+    pub compiled: Compiled,
     /// Winning policy.
     pub policy: PolicyKind,
     /// Winning trial budget.
@@ -150,7 +152,7 @@ impl TournamentResult {
 }
 
 /// Improvement of `score` over `baseline`, in permille of `baseline`.
-pub fn improvement_permille(baseline: u64, score: u64) -> i64 {
+fn improvement_permille(baseline: u64, score: u64) -> i64 {
     if baseline == 0 {
         return 0;
     }
@@ -167,7 +169,7 @@ pub type BehaviourDigest = (Option<i64>, Vec<(i64, i64)>);
 /// # Errors
 /// A message when simulation fails or the artifact changed observable
 /// behaviour — the tournament must never crown a miscompile.
-pub fn score(
+fn score(
     compiled: &Function,
     args: &[i64],
     memory: &[(i64, i64)],
@@ -189,42 +191,51 @@ pub fn score(
     }
 }
 
-/// Functional digest and baseline score of the uncompiled input — the
-/// reference every entrant is validated and normalized against.
+/// The uncompiled input's behaviour and score: the reference every
+/// entrant is validated and normalized against.
+#[derive(Clone, Debug)]
+pub struct Baseline {
+    /// Functional digest every entrant must reproduce.
+    pub digest: BehaviourDigest,
+    /// Score of the uncompiled input on the tournament's metric.
+    pub score: u64,
+}
+
+/// Establish the [`Baseline`] of the uncompiled input.
 ///
 /// # Errors
-/// A message when the input itself fails to simulate.
+/// [`ChfError`] when the input itself fails to simulate.
 pub fn baseline(
     f: &Function,
     args: &[i64],
     memory: &[(i64, i64)],
     metric: ScoreMetric,
-) -> Result<(BehaviourDigest, u64), String> {
+) -> Result<Baseline, ChfError> {
+    let failed = |message: String| ChfError::Panicked {
+        context: "tournament baseline",
+        message,
+    };
     let r = run(f, args, memory, &RunConfig::default())
-        .map_err(|e| format!("baseline simulation failed: {e}"))?;
-    let digest = r.digest();
+        .map_err(|e| failed(format!("baseline simulation failed: {e}")))?;
     let score = match metric {
         ScoreMetric::DynamicBlocks => r.blocks_executed,
         ScoreMetric::EventCycles => {
-            let t = simulate_timing(f, args, memory, &TimingConfig::trips())
-                .map_err(|e| format!("baseline timing simulation failed: {e}"))?;
-            t.cycles
+            simulate_timing(f, args, memory, &TimingConfig::trips())
+                .map_err(|e| failed(format!("baseline timing simulation failed: {e}")))?
+                .cycles
         }
     };
-    Ok((digest, score))
+    Ok(Baseline {
+        digest: r.digest(),
+        score,
+    })
 }
 
-/// Run the full portfolio sequentially and crown a winner.
-///
-/// Deterministic: entrants are enumerated, compiled, and scored in
-/// portfolio order, and ties go to the earlier entrant — a tournament at
-/// any parallelism (the service fans entrants out but scores in the same
-/// order) selects the same winner.
+/// Run the full portfolio sequentially and crown a winner: every entrant
+/// is compiled in portfolio order on the calling thread.
 ///
 /// # Errors
-/// [`ChfError`] when the baseline cannot be established or *every* entrant
-/// fails; individual entrant failures are contained and recorded on the
-/// entrant.
+/// As [`select_winner`], plus a failed [`baseline`].
 pub fn run_tournament(
     f: &Function,
     profile: &ProfileData,
@@ -232,58 +243,80 @@ pub fn run_tournament(
     memory: &[(i64, i64)],
     config: &TournamentConfig,
 ) -> Result<TournamentResult, ChfError> {
-    let (digest, base_score) =
-        baseline(f, args, memory, config.metric).map_err(|message| ChfError::Panicked {
-            context: "tournament baseline",
-            message,
-        })?;
+    let base = baseline(f, args, memory, config.metric)?;
+    select_winner(args, memory, config, &base, |portfolio| {
+        portfolio
+            .iter()
+            .map(|(_, entrant)| try_compile(f, profile, entrant).ok())
+            .collect()
+    })
+}
 
-    let mut entrants = Vec::new();
+/// The tournament: compile the portfolio through `execute`, score every
+/// entrant against `base` on the training input, and crown the best.
+///
+/// `execute` receives the portfolio ([`TournamentConfig::entrants`]) and
+/// returns one artifact per entrant, in the same order, with `None` for an
+/// entrant that failed to compile (or was shed or timed out). Scoring and
+/// tie-breaking happen here, in portfolio order, and ties go to the earlier
+/// entrant — so every executor, sequential or parallel, crowns the same
+/// winner.
+///
+/// # Errors
+/// [`ChfError`] when *every* entrant fails; individual failures (compile
+/// errors, miscompiles, simulation errors) are contained and recorded on
+/// the entrant with no score.
+pub fn select_winner(
+    args: &[i64],
+    memory: &[(i64, i64)],
+    config: &TournamentConfig,
+    base: &Baseline,
+    execute: impl FnOnce(&[(String, CompileConfig)]) -> Vec<Option<Compiled>>,
+) -> Result<TournamentResult, ChfError> {
+    let portfolio = config.entrants();
+    let artifacts = execute(&portfolio);
+    debug_assert_eq!(artifacts.len(), portfolio.len(), "one artifact per entrant");
+    let mut entrants = Vec::with_capacity(portfolio.len());
     let mut best: Option<(usize, u64, Compiled)> = None;
-    for (idx, (label, entrant_config)) in config.entrants().into_iter().enumerate() {
-        let (policy, budget) = (entrant_config.policy, entrant_config.trial_budget);
-        let scored = try_compile(f, profile, &entrant_config)
-            .map_err(|e| e.to_string())
-            .and_then(|compiled| {
-                score(&compiled.function, args, memory, config.metric, &digest)
-                    .map(|s| (compiled, s))
-            });
-        match scored {
-            Ok((compiled, s)) => {
-                entrants.push(Entrant {
-                    label,
-                    policy,
-                    budget,
-                    score: Some(s),
-                    trials: compiled.stats.trials,
-                });
-                // Strict `<` keeps the earliest entrant on ties.
-                if best.as_ref().map(|(_, b, _)| s < *b).unwrap_or(true) {
-                    best = Some((idx, s, compiled));
-                }
+    for (idx, ((label, entrant), artifact)) in portfolio.into_iter().zip(artifacts).enumerate() {
+        let scored = artifact.and_then(|compiled| {
+            score(
+                &compiled.function,
+                args,
+                memory,
+                config.metric,
+                &base.digest,
+            )
+            .ok()
+            .map(|s| (compiled, s))
+        });
+        entrants.push(Entrant {
+            label,
+            policy: entrant.policy,
+            budget: entrant.trial_budget,
+            score: scored.as_ref().map(|(_, s)| *s),
+            trials: scored.as_ref().map_or(0, |(c, _)| c.stats.trials),
+        });
+        if let Some((compiled, s)) = scored {
+            // Strict `<` keeps the earliest entrant on ties.
+            if best.as_ref().is_none_or(|(_, b, _)| s < *b) {
+                best = Some((idx, s, compiled));
             }
-            Err(_) => entrants.push(Entrant {
-                label,
-                policy,
-                budget,
-                score: None,
-                trials: 0,
-            }),
         }
     }
 
-    let (idx, score, mut winner) = best.ok_or(ChfError::Panicked {
+    let (idx, score, mut compiled) = best.ok_or(ChfError::Panicked {
         context: "tournament",
         message: "every portfolio entrant failed".to_string(),
     })?;
-    winner.stats.tournament_entrants = entrants.len();
+    compiled.stats.tournament_entrants = entrants.len();
     Ok(TournamentResult {
-        winner,
+        compiled,
         policy: entrants[idx].policy,
         budget: entrants[idx].budget,
         label: entrants[idx].label.clone(),
         score,
-        baseline: base_score,
+        baseline: base.score,
         entrants,
     })
 }
@@ -341,8 +374,8 @@ mod tests {
         let r2 = run_tournament(&f, &profile, &args, &[], &config).unwrap();
         assert_eq!(r1.label, r2.label);
         assert_eq!(r1.score, r2.score);
-        assert_eq!(r1.winner.stats, r2.winner.stats);
-        assert_eq!(r1.winner.stats.tournament_entrants, 6);
+        assert_eq!(r1.compiled.stats, r2.compiled.stats);
+        assert_eq!(r1.compiled.stats.tournament_entrants, 6);
         for e in &r1.entrants {
             if let Some(s) = e.score {
                 assert!(

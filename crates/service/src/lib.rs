@@ -60,7 +60,9 @@ pub mod stats;
 
 use cache::{cache_key, CacheKey, FormationCache, Lookup};
 use chf_core::pipeline::{try_compile, CompileConfig, Compiled};
-use chf_core::tournament::{baseline, improvement_permille, score, ScoreMetric, TournamentConfig};
+use chf_core::tournament::{
+    baseline, select_winner, ScoreMetric, TournamentConfig, TournamentResult,
+};
 use chf_core::{ChfError, PolicyKind};
 use chf_ir::function::Function;
 use chf_ir::fxhash::{FxHashMap, FxHasher};
@@ -302,41 +304,6 @@ pub struct TournamentRequest {
     pub memory: Vec<(i64, i64)>,
     /// Portfolio, metric, guard band, and base configuration.
     pub config: TournamentConfig,
-}
-
-/// Terminal outcome of a service-side tournament.
-#[derive(Clone, Debug)]
-pub struct TournamentOutcome {
-    /// The winning artifact;
-    /// `stats.tournament_entrants` records how many policy compiles
-    /// produced it (1 = shape-cache hot path).
-    pub compiled: Compiled,
-    /// Winning policy.
-    pub policy: PolicyKind,
-    /// Winning trial budget.
-    pub budget: Option<usize>,
-    /// Winning entrant's label (`HF@16`, …).
-    pub label: String,
-    /// Winning score (lower is better).
-    pub score: u64,
-    /// Baseline score of the uncompiled input on the same metric.
-    pub baseline: u64,
-    /// CFG-shape key this tournament was cached under.
-    pub shape: u64,
-    /// Whether the shape cache answered (hot path: one policy compile).
-    pub shape_hit: bool,
-    /// Whether a shape hit regressed past the guard band and fell back to
-    /// the full portfolio.
-    pub guard_fallback: bool,
-    /// Policy compiles run and scored for this tournament.
-    pub entrants_run: usize,
-}
-
-impl TournamentOutcome {
-    /// Winner's improvement over the uncompiled baseline, in permille.
-    pub fn improvement_permille(&self) -> i64 {
-        improvement_permille(self.baseline, self.score)
-    }
 }
 
 enum State {
@@ -634,21 +601,23 @@ impl CompileService {
 
     /// Run a per-function policy tournament through the service.
     ///
-    /// Cold path (shape miss): every `(policy, budget)` entrant of the
-    /// portfolio is fanned out through [`CompileService::submit_batch`],
-    /// scored on the training input in deterministic portfolio order, and
-    /// the winner (ties to the earlier entrant) is cached under the
+    /// Cold path (shape miss): the portfolio runs through
+    /// [`select_winner`] with every entrant fanned out as one
+    /// [`CompileService::submit_batch`], and the winner is cached under the
     /// function's CFG-shape fingerprint.
     ///
-    /// Hot path (shape hit): a *single* compile with the cached winning
-    /// policy. The fresh artifact is re-scored; if its improvement over
+    /// Hot path (shape hit): a one-entrant tournament of the cached winning
+    /// policy. If the fresh artifact fails, or its improvement over
     /// baseline regresses more than the configured guard band below the
-    /// cached improvement, the entry is distrusted and the full tournament
+    /// cached improvement, the entry is distrusted and the full portfolio
     /// runs instead (refreshing the cache). A stale entry therefore costs
     /// one extra compile, never a worse artifact.
     ///
-    /// Deterministic at any worker count: parallelism only changes when
-    /// entrants finish, not how they score or tie-break.
+    /// Which path ran shows in the [`ServiceStats`] counters
+    /// (`shape_hits`, `shape_misses`, `guard_fallbacks`,
+    /// `tournament_entrants`). Deterministic at any worker count:
+    /// parallelism only changes when entrants finish, not how they score
+    /// or tie-break.
     ///
     /// # Errors
     /// [`ChfError`] when the baseline cannot be established or every
@@ -656,90 +625,60 @@ impl CompileService {
     pub fn compile_tournament(
         &self,
         req: &TournamentRequest,
-    ) -> Result<TournamentOutcome, ChfError> {
+    ) -> Result<TournamentResult, ChfError> {
         let stats = &self.inner.stats;
         StatsCollector::bump(&stats.tournaments);
         let shape = shape_key(&req.function, &req.profile, &req.config);
-        let (digest, base_score) =
-            baseline(&req.function, &req.args, &req.memory, req.config.metric).map_err(
-                |message| ChfError::Panicked {
-                    context: "tournament baseline",
-                    message,
-                },
-            )?;
+        let base = baseline(&req.function, &req.args, &req.memory, req.config.metric)?;
+        let tournament = |config: &TournamentConfig| {
+            select_winner(&req.args, &req.memory, config, &base, |portfolio| {
+                self.compile_entrants(req, portfolio)
+            })
+        };
 
         if let Some(entry) = self.inner.shapes.get(shape) {
             StatsCollector::bump(&stats.shape_hits);
-            StatsCollector::bump(&stats.tournament_entrants);
-            let mut config = req.config.base.clone();
-            config.policy = entry.policy;
-            config.trial_budget = entry.budget;
-            let resp = self.wait(self.submit(CompileRequest {
-                program: Program::Ir(req.function.clone()),
-                profile: req.profile.clone(),
-                config,
-                options: RequestOptions::default(),
-            }));
-            let hot = resp.compiled.and_then(|compiled| {
-                score(
-                    &compiled.function,
-                    &req.args,
-                    &req.memory,
-                    req.config.metric,
-                    &digest,
-                )
-                .ok()
-                .map(|s| (compiled, s))
-            });
-            if let Some((mut compiled, s)) = hot {
-                let improvement = improvement_permille(base_score, s);
-                let band = req.config.guard_band_permille as i64;
-                if improvement + band >= entry.improvement_permille {
-                    compiled.stats.tournament_entrants = 1;
-                    return Ok(TournamentOutcome {
-                        compiled,
-                        policy: entry.policy,
-                        budget: entry.budget,
-                        label: chf_core::tournament::entrant_label(entry.policy, entry.budget),
-                        score: s,
-                        baseline: base_score,
-                        shape,
-                        shape_hit: true,
-                        guard_fallback: false,
-                        entrants_run: 1,
-                    });
+            let cached = TournamentConfig {
+                policies: vec![entry.policy],
+                budgets: vec![entry.budget],
+                ..req.config.clone()
+            };
+            if let Ok(hot) = tournament(&cached) {
+                let band = i64::from(req.config.guard_band_permille);
+                if hot.improvement_permille() + band >= entry.improvement_permille {
+                    return Ok(hot);
                 }
             }
-            // Cached policy failed outright or regressed past the guard
-            // band: distrust the entry, run the full portfolio.
             StatsCollector::bump(&stats.guard_fallbacks);
-            let mut outcome = self.run_portfolio(req, shape, &digest, base_score)?;
-            outcome.shape_hit = true;
-            outcome.guard_fallback = true;
-            outcome.entrants_run += 1; // the distrusted hot compile
-            return Ok(outcome);
+        } else {
+            StatsCollector::bump(&stats.shape_misses);
         }
 
-        StatsCollector::bump(&stats.shape_misses);
-        self.run_portfolio(req, shape, &digest, base_score)
+        let result = tournament(&req.config)?;
+        self.inner.shapes.insert(
+            shape,
+            ShapeEntry {
+                policy: result.policy,
+                budget: result.budget,
+                improvement_permille: result.improvement_permille(),
+            },
+        );
+        Ok(result)
     }
 
-    /// Cold tournament: fan the portfolio out as a batch, score in entrant
-    /// order, crown and cache the winner.
-    fn run_portfolio(
+    /// The service's tournament executor: compile every portfolio entrant
+    /// of `req` as one batch, returning the artifacts in portfolio order.
+    fn compile_entrants(
         &self,
         req: &TournamentRequest,
-        shape: u64,
-        digest: &chf_core::tournament::BehaviourDigest,
-        base_score: u64,
-    ) -> Result<TournamentOutcome, ChfError> {
-        let entrants = req.config.entrants();
+        portfolio: &[(String, CompileConfig)],
+    ) -> Vec<Option<Compiled>> {
         self.inner
             .stats
             .tournament_entrants
-            .fetch_add(entrants.len() as u64, Ordering::Relaxed);
+            .fetch_add(portfolio.len() as u64, Ordering::Relaxed);
         let batch = self.submit_batch(
-            entrants
+            portfolio
                 .iter()
                 .map(|(_, config)| CompileRequest {
                     program: Program::Ir(req.function.clone()),
@@ -749,53 +688,7 @@ impl CompileService {
                 })
                 .collect(),
         );
-        let mut best: Option<(usize, u64, Compiled)> = None;
-        for (idx, resp) in batch.wait_all().into_iter().enumerate() {
-            let Some(compiled) = resp.compiled else {
-                continue; // shed, failed, or timed out: not a contender
-            };
-            let Ok(s) = score(
-                &compiled.function,
-                &req.args,
-                &req.memory,
-                req.config.metric,
-                digest,
-            ) else {
-                continue; // miscompile or sim failure: contained
-            };
-            // Strict `<` keeps the earliest entrant on ties, matching the
-            // sequential core tournament at any worker count.
-            if best.as_ref().map(|(_, b, _)| s < *b).unwrap_or(true) {
-                best = Some((idx, s, compiled));
-            }
-        }
-        let (idx, s, mut compiled) = best.ok_or(ChfError::Panicked {
-            context: "tournament",
-            message: "every portfolio entrant failed".to_string(),
-        })?;
-        let (label, config) = &entrants[idx];
-        let improvement = improvement_permille(base_score, s);
-        self.inner.shapes.insert(
-            shape,
-            ShapeEntry {
-                policy: config.policy,
-                budget: config.trial_budget,
-                improvement_permille: improvement,
-            },
-        );
-        compiled.stats.tournament_entrants = entrants.len();
-        Ok(TournamentOutcome {
-            compiled,
-            policy: config.policy,
-            budget: config.trial_budget,
-            label: label.clone(),
-            score: s,
-            baseline: base_score,
-            shape,
-            shape_hit: false,
-            guard_fallback: false,
-            entrants_run: entrants.len(),
-        })
+        batch.wait_all().into_iter().map(|r| r.compiled).collect()
     }
 
     /// Fault-injection hook (the `corrupted-cache-entry` chaos kind):

@@ -1,9 +1,10 @@
 //! Service-side policy tournaments: batch submission, the CFG-shape winner
-//! cache's hot path (exactly one policy compile, verified by counters), the
-//! guard-band fallback on a stale/adversarial cached winner, and winner
-//! determinism across worker counts.
+//! cache's hot path (exactly one policy compile, verified by the
+//! `ServiceStats` counters), the guard-band fallback on a stale/adversarial
+//! cached winner, winner determinism across worker counts, and agreement
+//! with the sequential core tournament entrant for entrant.
 
-use chf_core::tournament::TournamentConfig;
+use chf_core::tournament::{TournamentConfig, TournamentResult};
 use chf_core::PolicyKind;
 use chf_ir::testgen::{generate, GenConfig};
 use chf_service::{
@@ -79,17 +80,16 @@ fn shape_cache_hot_path_runs_exactly_one_entrant() {
 
     // Cold: full portfolio.
     let cold = svc.compile_tournament(&req).unwrap();
-    assert!(!cold.shape_hit);
-    assert!(!cold.guard_fallback);
-    assert_eq!(cold.entrants_run, portfolio);
+    let s = svc.stats();
+    assert_eq!((s.shape_hits, s.shape_misses, s.guard_fallbacks), (0, 1, 0));
+    assert_eq!(s.tournament_entrants, portfolio as u64);
+    assert_eq!(cold.entrants.len(), portfolio);
     assert_eq!(cold.compiled.stats.tournament_entrants, portfolio);
     assert_eq!(svc.shape_cache_len(), 1);
 
     // Hot: the same shape compiles once with the cached winner.
     let hot = svc.compile_tournament(&req).unwrap();
-    assert!(hot.shape_hit);
-    assert!(!hot.guard_fallback);
-    assert_eq!(hot.entrants_run, 1);
+    assert_eq!(hot.entrants.len(), 1);
     assert_eq!(hot.compiled.stats.tournament_entrants, 1);
     assert_eq!(hot.policy, cold.policy);
     assert_eq!(hot.budget, cold.budget);
@@ -126,29 +126,29 @@ fn guard_band_fallback_distrusts_a_stale_winner() {
     // guard band must trip and rerun the full portfolio.
     svc.override_shape_winner(&req, PolicyKind::DepthFirst, Some(16), 999_999);
     let out = svc.compile_tournament(&req).unwrap();
-    assert!(out.shape_hit, "the planted entry was found");
-    assert!(out.guard_fallback, "the inflated score must trip the band");
+    let s = svc.stats();
+    assert_eq!(s.shape_hits, 1, "the planted entry was found");
     assert_eq!(
-        out.entrants_run,
-        portfolio + 1,
+        s.guard_fallbacks, 1,
+        "the inflated score must trip the band"
+    );
+    assert_eq!(s.shape_misses, 0);
+    assert_eq!(
+        s.tournament_entrants,
+        (portfolio + 1) as u64,
         "hot probe + full portfolio"
     );
+    assert_eq!(out.entrants.len(), portfolio);
     assert_eq!(out.compiled.stats.tournament_entrants, portfolio);
-
-    let s = svc.stats();
-    assert_eq!(s.guard_fallbacks, 1);
-    assert_eq!(s.shape_hits, 1);
-    assert_eq!(s.shape_misses, 0);
 
     // The fallback refreshed the entry with the real improvement: the next
     // tournament is a clean hot path.
     let again = svc.compile_tournament(&req).unwrap();
-    assert!(again.shape_hit);
-    assert!(!again.guard_fallback);
-    assert_eq!(again.entrants_run, 1);
+    let s = svc.stats();
+    assert_eq!((s.shape_hits, s.guard_fallbacks), (2, 1));
+    assert_eq!(s.tournament_entrants, (portfolio + 2) as u64);
     assert_eq!(again.policy, out.policy);
     assert_eq!(again.score, out.score);
-    assert_eq!(svc.stats().guard_fallbacks, 1);
 }
 
 #[test]
@@ -175,6 +175,12 @@ fn tournament_winners_are_identical_at_1_2_and_8_workers() {
 
 #[test]
 fn service_tournament_matches_the_sequential_core_tournament() {
+    let entrants = |r: &TournamentResult| -> Vec<(String, Option<u64>, usize)> {
+        r.entrants
+            .iter()
+            .map(|e| (e.label.clone(), e.score, e.trials))
+            .collect()
+    };
     for seed in [5u64, 17] {
         let req = tournament_request(seed);
         let core = chf_core::run_tournament(
@@ -187,12 +193,17 @@ fn service_tournament_matches_the_sequential_core_tournament() {
         .unwrap();
         let svc = service(4);
         let out = svc.compile_tournament(&req).unwrap();
+        assert_eq!(
+            entrants(&out),
+            entrants(&core),
+            "seed {seed}: the two executors scored the portfolio differently"
+        );
         assert_eq!(out.label, core.label, "seed {seed}");
         assert_eq!(out.score, core.score, "seed {seed}");
         assert_eq!(out.baseline, core.baseline, "seed {seed}");
         assert_eq!(
             out.compiled.function.to_string(),
-            core.winner.function.to_string(),
+            core.compiled.function.to_string(),
             "seed {seed}: service and core tournaments disagree"
         );
     }

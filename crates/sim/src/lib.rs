@@ -30,24 +30,20 @@
 //!
 //! The [`predictor`] module provides the next-block (exit) predictor shared
 //! by the timing model.
+//!
+//! Every timing run, whole-program simulation included, is one sequential
+//! pass of the event core over `u64` cycle timestamps.
 
-pub mod checkpoint;
 pub mod functional;
 pub mod lower;
 pub mod predictor;
-pub mod shard;
 pub mod timing;
 #[cfg(feature = "legacy-sim")]
 pub mod timing_legacy;
 
-pub use checkpoint::{plan_shards, Checkpoint, ShardConfig, ShardPlan};
 pub use functional::{run, run_lowered, ExecError, FuncResult, RunConfig, SimError};
 pub use lower::LoweredProgram;
 pub use predictor::{ExitPredictor, PredictorConfig, PredictorKind};
-pub use shard::{
-    corrupt_checkpoint, simulate_shard, simulate_timing_sharded_seq, stitch, CheckpointFault,
-    ShardRun, StitchedTiming,
-};
 pub use timing::{
     simulate_timing, simulate_timing_lowered, simulate_timing_lowered_traced,
     simulate_timing_traced, BlockEvent, MemoryOrdering, TimingConfig, TimingResult, TimingTrace,
