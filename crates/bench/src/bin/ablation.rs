@@ -8,7 +8,7 @@
 use chf_core::convergent::{form_hyperblocks_with_profile, FormationConfig};
 use chf_core::reverse::split_oversized;
 use chf_core::PolicyKind;
-use chf_sim::predictor::{PredictorConfig, PredictorKind};
+use chf_sim::predictor::PredictorKind;
 use chf_sim::timing::{simulate_timing, TimingConfig};
 use chf_workloads::{microbenchmarks, Workload};
 
@@ -144,14 +144,14 @@ Timing-model sensitivity (convergent BF vs BB under each model)
         (
             "  bimodal next-block predictor",
             TimingConfig {
-                predictor: PredictorConfig::of_kind(PredictorKind::Bimodal),
+                predictor: PredictorKind::Bimodal,
                 ..TimingConfig::trips()
             },
         ),
         (
             "  no next-block prediction",
             TimingConfig {
-                predictor: PredictorConfig::of_kind(PredictorKind::Static),
+                predictor: PredictorKind::Static,
                 ..TimingConfig::trips()
             },
         ),

@@ -10,7 +10,7 @@
 use crate::render::{pct, render_table};
 use crate::{percent_improvement, try_compile_and_count, try_compile_and_time};
 use chf_core::pipeline::{CompileConfig, PhaseOrdering};
-use chf_core::tournament::{run_tournament, ScoreMetric, TournamentConfig};
+use chf_core::tournament::{run_tournament, TournamentConfig};
 use chf_core::{FormationStats, PolicyKind};
 use chf_workloads::{microbenchmarks, spec_suite, Workload};
 
@@ -193,7 +193,6 @@ pub fn portfolio_config(budget: usize) -> TournamentConfig {
             PolicyKind::DepthFirst,
         ],
         budgets: vec![Some(budget), None],
-        metric: ScoreMetric::DynamicBlocks,
         guard_band_permille: 20,
         base: CompileConfig::with_policy(PolicyKind::BreadthFirst, true),
     }

@@ -1,11 +1,11 @@
 //! Convergent hyperblock formation — the paper's Figure 5.
 //!
-//! [`expand_block`] implements `ExpandBlock`: starting from a seed block, it
-//! repeatedly asks the policy for the best candidate successor, attempts the
-//! merge as an *in-place trial* ([`merge_blocks`] snapshots the blocks the
-//! merge can touch, transforms the CFG directly, optionally optimizes the
-//! merged block, checks the structural constraints, and rolls the snapshot
-//! back on failure), and keeps only successful merges. The paper's
+//! `expand_block_inner` implements `ExpandBlock`: starting from a seed
+//! block, it repeatedly asks the policy for the best candidate successor,
+//! attempts the merge as an *in-place trial* ([`merge_blocks`] snapshots
+//! the blocks the merge can touch, transforms the CFG directly, optionally
+//! optimizes the merged block, checks the structural constraints, and rolls
+//! the snapshot back on failure), and keeps only successful merges. The paper's
 //! implementation tested merges in scratch space to "avoid a more
 //! complicated undo step"; cloning the whole function per trial dominated
 //! compile time here, so the undo step is now explicit — a merge only ever
@@ -32,6 +32,9 @@ use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
 use chf_ir::loops::LoopForest;
 use chf_ir::profile::ProfileData;
+
+/// Safety cap on merges per seed block.
+const MAX_MERGES_PER_BLOCK: usize = 64;
 
 /// Configuration of the formation loop.
 #[derive(Clone, Debug)]
@@ -61,8 +64,6 @@ pub struct FormationConfig {
     /// (§5, "Limiting tail duplication": duplicating a large merge point
     /// bloats code and makes its contents data-dependent on the exit test).
     pub max_tail_dup_size: usize,
-    /// Safety cap on merges per seed block.
-    pub max_merges_per_block: usize,
     /// Verify the IR after every combine trial and *contain* a violation by
     /// rolling the trial back and skipping the candidate (recorded in
     /// [`FormationStats::skipped`]), instead of panicking via a
@@ -83,9 +84,8 @@ pub struct FormationConfig {
     /// `None` (the default) injects nothing.
     pub chaos: Option<ChaosSpec>,
     /// Trial-budget ledger: cap on merge *trials* (attempted merges,
-    /// successful or not) per formation run — one whole-function
-    /// [`form_hyperblocks`] call, or one [`expand_block`] call when driven
-    /// block-at-a-time. `None` (the default) reproduces today's unbounded
+    /// successful or not) per whole-function [`form_hyperblocks`] call.
+    /// `None` (the default) reproduces today's unbounded
     /// behaviour exactly. When the ledger runs dry, remaining candidates
     /// are skipped and counted in [`FormationStats::budget_skipped`]; the
     /// trials actually spent are in [`FormationStats::trials`] either way.
@@ -132,7 +132,6 @@ impl Default for FormationConfig {
             trip_aware_unroll: true,
             speculation: true,
             max_tail_dup_size: 24,
-            max_merges_per_block: 64,
             verify_trials: true,
             oracle: None,
             chaos: None,
@@ -687,30 +686,8 @@ fn original_headers(
 }
 
 /// `ExpandBlock` (Figure 5): grow `hb` by merging candidate successors
-/// chosen by `policy` until no candidate fits.
-pub fn expand_block(
-    f: &mut Function,
-    hb: BlockId,
-    policy: &mut dyn Policy,
-    config: &FormationConfig,
-) -> FormationStats {
-    expand_block_with_profile(f, hb, policy, config, None)
-}
-
-/// [`expand_block`] with access to the training profile's trip-count
-/// histograms, which bound unrolling and peeling (§5).
-pub fn expand_block_with_profile(
-    f: &mut Function,
-    hb: BlockId,
-    policy: &mut dyn Policy,
-    config: &FormationConfig,
-    profile: Option<&ProfileData>,
-) -> FormationStats {
-    let mut ctx = FormationCtx::new();
-    let original_header = ctx.forest(f).innermost_containing(hb).map(|l| l.header);
-    expand_block_inner(f, hb, policy, config, profile, original_header, &mut ctx)
-}
-
+/// chosen by `policy` until no candidate fits. The training profile's
+/// trip-count histograms, when present, bound unrolling and peeling (§5).
 #[allow(clippy::too_many_arguments)]
 fn expand_block_inner(
     f: &mut Function,
@@ -764,7 +741,7 @@ fn expand_block_inner(
     // The pristine loop body, captured just before the first unroll so that
     // later unrolls append single iterations (paper §4.1).
     let mut saved_body: Option<chf_ir::block::Block> = None;
-    while merges < config.max_merges_per_block {
+    while merges < MAX_MERGES_PER_BLOCK {
         let Some(idx) = policy.select(f, hb, &candidates) else {
             break;
         };

@@ -58,4 +58,4 @@ pub use error::ChfError;
 pub use oracle::OracleConfig;
 pub use pipeline::{compile, try_compile, CompileConfig, Compiled, PhaseOrdering};
 pub use policy::PolicyKind;
-pub use tournament::{run_tournament, ScoreMetric, TournamentConfig, TournamentResult};
+pub use tournament::{run_tournament, TournamentConfig, TournamentResult};

@@ -7,8 +7,8 @@
 //! signal. The tournament closes that gap adaptively: for each function it
 //! compiles every `(policy, trial-budget)` entrant of a configurable
 //! portfolio, scores each by the functional simulator's dynamic block count
-//! on the training input (event-sim cycles behind an opt-in metric), and
-//! keeps the artifact with the best score. Entrant enumeration, scoring,
+//! on the training input (the paper's Table 3 proxy, strongly correlated
+//! with cycles: Figure 7), and keeps the artifact with the best score. Entrant enumeration, scoring,
 //! and tie-breaking are fully deterministic, so a tournament run at any
 //! worker count picks the same winner.
 //!
@@ -25,20 +25,6 @@ use crate::ChfError;
 use chf_ir::function::Function;
 use chf_ir::profile::ProfileData;
 use chf_sim::functional::{run, RunConfig};
-use chf_sim::timing::{simulate_timing, TimingConfig};
-
-/// What a tournament scores entrants by. Lower is always better.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ScoreMetric {
-    /// Dynamic block count under the functional simulator — the paper's
-    /// Table 3 proxy and the default: cheap, deterministic, and strongly
-    /// correlated with cycles (Figure 7, r² ≈ 0.78).
-    DynamicBlocks,
-    /// Cycle count under the event-driven timing simulator. Opt-in: an
-    /// order of magnitude slower per entrant, for when the proxy's
-    /// correlation is not enough.
-    EventCycles,
-}
 
 /// Portfolio and scoring configuration of a tournament.
 #[derive(Clone, Debug)]
@@ -49,8 +35,6 @@ pub struct TournamentConfig {
     /// Trial-budget points each policy is entered at (`None` = unbounded).
     /// The portfolio is the cross product `policies × budgets`.
     pub budgets: Vec<Option<usize>>,
-    /// Scoring metric.
-    pub metric: ScoreMetric,
     /// Shape-cache guard band, in permille of baseline improvement: a hot
     /// (cached-winner) compile whose improvement falls more than this far
     /// below the cached score triggers a full tournament instead of
@@ -70,7 +54,6 @@ impl Default for TournamentConfig {
                 PolicyKind::DepthFirst,
             ],
             budgets: vec![Some(16), None],
-            metric: ScoreMetric::DynamicBlocks,
             guard_band_permille: 20,
             base: CompileConfig::convergent(),
         }
@@ -112,7 +95,7 @@ pub struct Entrant {
     pub policy: PolicyKind,
     /// The trial budget entered at.
     pub budget: Option<usize>,
-    /// Metric score (lower is better); `None` when the entrant failed to
+    /// Dynamic block count (lower is better); `None` when the entrant failed to
     /// compile, simulate, or preserve behaviour (it is then excluded from
     /// winner selection rather than poisoning the tournament).
     pub score: Option<u64>,
@@ -135,7 +118,7 @@ pub struct TournamentResult {
     pub label: String,
     /// Winning entrant's score.
     pub score: u64,
-    /// Baseline score of the *uncompiled* input on the same metric, for
+    /// Dynamic block count of the *uncompiled* input, for
     /// normalizing scores into improvements (shape-cache guard band).
     pub baseline: u64,
     /// Every entrant, in portfolio order, with its score.
@@ -163,8 +146,9 @@ fn improvement_permille(baseline: u64, score: u64) -> i64 {
 /// (return value plus final memory), which every entrant must reproduce.
 pub type BehaviourDigest = (Option<i64>, Vec<(i64, i64)>);
 
-/// Score one compiled artifact on `metric`, verifying behaviour against the
-/// expected functional digest of the uncompiled input.
+/// Score one compiled artifact by its dynamic block count, verifying
+/// behaviour against the expected functional digest of the uncompiled
+/// input.
 ///
 /// # Errors
 /// A message when simulation fails or the artifact changed observable
@@ -173,7 +157,6 @@ fn score(
     compiled: &Function,
     args: &[i64],
     memory: &[(i64, i64)],
-    metric: ScoreMetric,
     expected_digest: &BehaviourDigest,
 ) -> Result<u64, String> {
     let r = run(compiled, args, memory, &RunConfig::default())
@@ -181,14 +164,7 @@ fn score(
     if &r.digest() != expected_digest {
         return Err("behaviour changed (functional digest mismatch)".to_string());
     }
-    match metric {
-        ScoreMetric::DynamicBlocks => Ok(r.blocks_executed),
-        ScoreMetric::EventCycles => {
-            let t = simulate_timing(compiled, args, memory, &TimingConfig::trips())
-                .map_err(|e| format!("timing simulation failed: {e}"))?;
-            Ok(t.cycles)
-        }
-    }
+    Ok(r.blocks_executed)
 }
 
 /// The uncompiled input's behaviour and score: the reference every
@@ -197,7 +173,7 @@ fn score(
 pub struct Baseline {
     /// Functional digest every entrant must reproduce.
     pub digest: BehaviourDigest,
-    /// Score of the uncompiled input on the tournament's metric.
+    /// Dynamic block count of the uncompiled input.
     pub score: u64,
 }
 
@@ -205,29 +181,14 @@ pub struct Baseline {
 ///
 /// # Errors
 /// [`ChfError`] when the input itself fails to simulate.
-pub fn baseline(
-    f: &Function,
-    args: &[i64],
-    memory: &[(i64, i64)],
-    metric: ScoreMetric,
-) -> Result<Baseline, ChfError> {
-    let failed = |message: String| ChfError::Panicked {
+pub fn baseline(f: &Function, args: &[i64], memory: &[(i64, i64)]) -> Result<Baseline, ChfError> {
+    let r = run(f, args, memory, &RunConfig::default()).map_err(|e| ChfError::Panicked {
         context: "tournament baseline",
-        message,
-    };
-    let r = run(f, args, memory, &RunConfig::default())
-        .map_err(|e| failed(format!("baseline simulation failed: {e}")))?;
-    let score = match metric {
-        ScoreMetric::DynamicBlocks => r.blocks_executed,
-        ScoreMetric::EventCycles => {
-            simulate_timing(f, args, memory, &TimingConfig::trips())
-                .map_err(|e| failed(format!("baseline timing simulation failed: {e}")))?
-                .cycles
-        }
-    };
+        message: format!("baseline simulation failed: {e}"),
+    })?;
     Ok(Baseline {
         digest: r.digest(),
-        score,
+        score: r.blocks_executed,
     })
 }
 
@@ -243,7 +204,7 @@ pub fn run_tournament(
     memory: &[(i64, i64)],
     config: &TournamentConfig,
 ) -> Result<TournamentResult, ChfError> {
-    let base = baseline(f, args, memory, config.metric)?;
+    let base = baseline(f, args, memory)?;
     select_winner(args, memory, config, &base, |portfolio| {
         portfolio
             .iter()
@@ -280,15 +241,9 @@ pub fn select_winner(
     let mut best: Option<(usize, u64, Compiled)> = None;
     for (idx, ((label, entrant), artifact)) in portfolio.into_iter().zip(artifacts).enumerate() {
         let scored = artifact.and_then(|compiled| {
-            score(
-                &compiled.function,
-                args,
-                memory,
-                config.metric,
-                &base.digest,
-            )
-            .ok()
-            .map(|s| (compiled, s))
+            score(&compiled.function, args, memory, &base.digest)
+                .ok()
+                .map(|s| (compiled, s))
         });
         entrants.push(Entrant {
             label,

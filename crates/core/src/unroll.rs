@@ -255,7 +255,6 @@ pub fn hyperblock_unroll_peel(
         trip_aware_unroll: true,
         speculation: true,
         max_tail_dup_size: 24,
-        max_merges_per_block: 64,
         ..crate::convergent::FormationConfig::default()
     };
 

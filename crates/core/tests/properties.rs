@@ -41,7 +41,6 @@ fn formation_config() -> impl Strategy<Value = FormationConfig> {
                 trip_aware_unroll: true,
                 speculation,
                 max_tail_dup_size: tail_limit,
-                max_merges_per_block: 32,
                 ..FormationConfig::default()
             },
         )

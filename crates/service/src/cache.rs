@@ -10,7 +10,7 @@
 //! Two properties keep the cache from becoming a new failure mode:
 //!
 //! * **Poison-safety**: only fully successful (`Done`) compilations are
-//!   inserted. Degraded, timed-out, errored, and chaos-instrumented results
+//!   inserted. Degraded, errored, and chaos-instrumented results
 //!   never enter the cache, so a transient failure cannot be replayed to
 //!   every future client of the same key.
 //! * **Integrity revalidation**: every entry carries a digest over the

@@ -14,8 +14,6 @@
 //! submit ──► Queued ──► Running ──► Done       (full result, cacheable)
 //!    │                     │  ├───► Degraded   (deadline hit mid-formation:
 //!    │                     │  │                 the anytime partial result)
-//!    │                     │  ├───► TimedOut   (deadline hit, fail-fast
-//!    │                     │  │                 semantics requested)
 //!    │                     │  └───► Failed     (contained permanent error)
 //!    │                     └─retry─┐           (transient failures only,
 //!    │                     ▲───────┘            capped exponential backoff)
@@ -60,9 +58,7 @@ pub mod stats;
 
 use cache::{cache_key, CacheKey, FormationCache, Lookup};
 use chf_core::pipeline::{try_compile, CompileConfig, Compiled};
-use chf_core::tournament::{
-    baseline, select_winner, ScoreMetric, TournamentConfig, TournamentResult,
-};
+use chf_core::tournament::{baseline, select_winner, TournamentConfig, TournamentResult};
 use chf_core::{ChfError, PolicyKind};
 use chf_ir::function::Function;
 use chf_ir::fxhash::{FxHashMap, FxHasher};
@@ -80,36 +76,25 @@ use std::time::{Duration, Instant};
 /// Identifies one submitted request for status polling.
 pub type RequestId = u64;
 
-/// Retry policy for *transient* failures ([`ChfError::is_transient`]):
-/// capped exponential backoff. Permanent errors are never retried — they
+/// Attempts beyond the first for a *transient* failure
+/// ([`ChfError::is_transient`]). Permanent errors are never retried — they
 /// are deterministic in the input.
-#[derive(Copy, Clone, Debug)]
-pub struct RetryPolicy {
-    /// Attempts beyond the first (0 disables retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub max_backoff: Duration,
-}
+const MAX_RETRIES: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(8),
-        }
-    }
-}
+/// Backoff before the first retry; doubles per subsequent retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(1);
 
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based): `base * 2^(retry-1)`,
-    /// capped at `max_backoff`.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32 << retry.saturating_sub(1).min(16);
-        (self.base_backoff * factor).min(self.max_backoff)
-    }
+/// Ceiling on any single backoff sleep.
+const MAX_BACKOFF: Duration = Duration::from_millis(8);
+
+/// CFG-shape → tournament-winner cache capacity, in shapes.
+const SHAPE_CACHE_CAPACITY: usize = 1024;
+
+/// Backoff before retry number `retry` (1-based): `BASE_BACKOFF *
+/// 2^(retry-1)`, capped at `MAX_BACKOFF`.
+fn backoff(retry: u32) -> Duration {
+    let factor = 1u32 << retry.saturating_sub(1).min(16);
+    (BASE_BACKOFF * factor).min(MAX_BACKOFF)
 }
 
 /// Static configuration of a [`CompileService`].
@@ -125,13 +110,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Formation-cache capacity in entries; 0 disables memoization.
     pub cache_capacity: usize,
-    /// CFG-shape → tournament-winner cache capacity in shapes; 0 disables
-    /// shape specialization (every tournament runs the full portfolio).
-    pub shape_cache_capacity: usize,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
-    /// Transient-failure retry policy.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -140,9 +118,6 @@ impl Default for ServiceConfig {
             workers: usize::MAX, // clamped to available parallelism
             queue_capacity: 256,
             cache_capacity: 1024,
-            shape_cache_capacity: 1024,
-            default_deadline: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -152,11 +127,9 @@ impl Default for ServiceConfig {
 pub struct RequestOptions {
     /// Wall-clock budget for the compile, measured from the moment a worker
     /// starts it (queue wait is governed by backpressure, not deadlines).
-    /// Overrides [`ServiceConfig::default_deadline`].
+    /// Expiry is graceful: the request ends `Degraded` with the anytime
+    /// partial artifact. `None` (the default) never expires.
     pub deadline: Option<Duration>,
-    /// Report deadline expiry as `TimedOut` (no artifact) instead of the
-    /// default graceful `Degraded` (anytime partial artifact).
-    pub fail_on_deadline: bool,
     /// Fault-injection hook: panic inside the worker on the first N compile
     /// attempts of this request. Exercises the containment + retry path
     /// deterministically; 0 (the default) injects nothing.
@@ -227,8 +200,6 @@ pub enum RequestStatus {
     /// partial result (valid, verified, behaviour-preserving — just fewer
     /// merges than an unbounded run).
     Degraded,
-    /// Deadline expired and the request asked for fail-fast semantics.
-    TimedOut,
     /// Shed at submission: the bounded queue was full.
     Rejected,
     /// Contained permanent error (verifier rejection, parse failure, or a
@@ -323,8 +294,6 @@ struct Job {
 }
 
 struct Inner {
-    retry: RetryPolicy,
-    default_deadline: Option<Duration>,
     queue_capacity: usize,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
@@ -363,15 +332,13 @@ impl CompileService {
             .unwrap_or(1);
         let workers = parallel::clamp_jobs(Some(&config.workers.to_string()), avail);
         let inner = Arc::new(Inner {
-            retry: config.retry,
-            default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             states: Mutex::new(FxHashMap::default()),
             states_cv: Condvar::new(),
             cache: FormationCache::new(config.cache_capacity),
-            shapes: ShapeCache::new(config.shape_cache_capacity),
+            shapes: ShapeCache::new(SHAPE_CACHE_CAPACITY),
             stats: StatsCollector::default(),
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
@@ -629,7 +596,7 @@ impl CompileService {
         let stats = &self.inner.stats;
         StatsCollector::bump(&stats.tournaments);
         let shape = shape_key(&req.function, &req.profile, &req.config);
-        let base = baseline(&req.function, &req.args, &req.memory, req.config.metric)?;
+        let base = baseline(&req.function, &req.args, &req.memory)?;
         let tournament = |config: &TournamentConfig| {
             select_winner(&req.args, &req.memory, config, &base, |portfolio| {
                 self.compile_entrants(req, portfolio)
@@ -754,9 +721,8 @@ impl Drop for CompileService {
 /// (stable under value renaming and block-label permutation — see
 /// [`chf_ir::fingerprint`]) combined with everything that changes which
 /// winner is valid: the base configuration (with the entrant-overridden
-/// `policy`/`trial_budget` canonicalized out), the portfolio itself, and
-/// the scoring metric. Two tournaments with different portfolios never
-/// alias.
+/// `policy`/`trial_budget` canonicalized out) and the portfolio itself.
+/// Two tournaments with different portfolios never alias.
 fn shape_key(f: &Function, profile: &ProfileData, config: &TournamentConfig) -> u64 {
     let mut base = config.base.clone();
     base.policy = PolicyKind::BreadthFirst;
@@ -767,10 +733,6 @@ fn shape_key(f: &Function, profile: &ProfileData, config: &TournamentConfig) -> 
     for (label, _) in config.entrants() {
         h.write(label.as_bytes());
     }
-    h.write_u8(match config.metric {
-        ScoreMetric::DynamicBlocks => 0,
-        ScoreMetric::EventCycles => 1,
-    });
     h.finish()
 }
 
@@ -837,13 +799,8 @@ fn run_job(inner: &Inner, job: &Job) -> CompileResponse {
         );
     }
 
-    let deadline = job
-        .options
-        .deadline
-        .or(inner.default_deadline)
-        .map(|d| start + d);
     let mut config = job.config.clone();
-    config.deadline = deadline;
+    config.deadline = job.options.deadline.map(|d| start + d);
 
     let mut retries = 0u32;
     loop {
@@ -860,19 +817,14 @@ fn run_job(inner: &Inner, job: &Job) -> CompileResponse {
                 inner.stats.record_compile(elapsed, compiled.stats.trials);
                 return if compiled.stats.deadline_hit {
                     // Poison-safety: partial results are never cached.
-                    if job.options.fail_on_deadline {
-                        StatsCollector::bump(&inner.stats.timed_out);
-                        respond(RequestStatus::TimedOut, None, None, retries, elapsed)
-                    } else {
-                        StatsCollector::bump(&inner.stats.degraded);
-                        respond(
-                            RequestStatus::Degraded,
-                            Some(compiled),
-                            None,
-                            retries,
-                            elapsed,
-                        )
-                    }
+                    StatsCollector::bump(&inner.stats.degraded);
+                    respond(
+                        RequestStatus::Degraded,
+                        Some(compiled),
+                        None,
+                        retries,
+                        elapsed,
+                    )
                 } else {
                     if let Some(key) = job.key {
                         inner.cache.insert(key, &compiled);
@@ -887,10 +839,10 @@ fn run_job(inner: &Inner, job: &Job) -> CompileResponse {
                 message: panic_text(payload.as_ref()),
             },
         };
-        if error.is_transient() && retries < inner.retry.max_retries {
+        if error.is_transient() && retries < MAX_RETRIES {
             retries += 1;
             StatsCollector::bump(&inner.stats.retries);
-            std::thread::sleep(inner.retry.backoff(retries));
+            std::thread::sleep(backoff(retries));
             continue;
         }
         StatsCollector::bump(&inner.stats.failed);
@@ -1007,14 +959,7 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let r = RetryPolicy {
-            max_retries: 5,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-        };
-        assert_eq!(r.backoff(1), Duration::from_millis(1));
-        assert_eq!(r.backoff(2), Duration::from_millis(2));
-        assert_eq!(r.backoff(3), Duration::from_millis(4));
-        assert_eq!(r.backoff(4), Duration::from_millis(4));
+        let ms: Vec<u128> = (1..=5).map(|r| backoff(r).as_millis()).collect();
+        assert_eq!(ms, [1, 2, 4, 8, 8]);
     }
 }

@@ -17,7 +17,6 @@ pub(crate) struct StatsCollector {
     pub rejected: AtomicU64,
     pub done: AtomicU64,
     pub degraded: AtomicU64,
-    pub timed_out: AtomicU64,
     pub failed: AtomicU64,
     pub retries: AtomicU64,
     pub cache_hits: AtomicU64,
@@ -63,7 +62,6 @@ impl StatsCollector {
             rejected: self.rejected.load(Ordering::Relaxed),
             done: self.done.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -100,8 +98,6 @@ pub struct ServiceStats {
     /// Requests whose deadline expired mid-formation and returned the
     /// anytime (partial) result.
     pub degraded: u64,
-    /// Requests whose deadline expired with fail-fast semantics requested.
-    pub timed_out: u64,
     /// Requests that ended in a contained, permanent error.
     pub failed: u64,
     /// Compile attempts beyond the first, across all requests.
@@ -163,14 +159,14 @@ impl ServiceStats {
 
     /// Requests that reached a terminal state.
     pub fn terminal(&self) -> u64 {
-        self.rejected + self.done + self.degraded + self.timed_out + self.failed
+        self.rejected + self.done + self.degraded + self.failed
     }
 
     /// One-line JSON rendering with stable keys (no trailing newline).
     pub fn json(&self) -> String {
         format!(
             "{{\"submitted\":{},\"rejected\":{},\"done\":{},\"degraded\":{},\
-             \"timed_out\":{},\"failed\":{},\"retries\":{},\"cache_hits\":{},\
+             \"failed\":{},\"retries\":{},\"cache_hits\":{},\
              \"cache_misses\":{},\"cache_corrupt_dropped\":{},\"cache_hit_rate\":{:.4},\
              \"tournaments\":{},\"tournament_entrants\":{},\"shape_hits\":{},\
              \"shape_misses\":{},\"guard_fallbacks\":{},\"entrants_per_tournament\":{:.2},\
@@ -180,7 +176,6 @@ impl ServiceStats {
             self.rejected,
             self.done,
             self.degraded,
-            self.timed_out,
             self.failed,
             self.retries,
             self.cache_hits,

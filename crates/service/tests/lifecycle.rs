@@ -5,7 +5,7 @@
 
 use chf_core::ChfError;
 use chf_ir::testgen::{generate, GenConfig};
-use chf_service::{CompileRequest, CompileService, RequestStatus, RetryPolicy, ServiceConfig};
+use chf_service::{CompileRequest, CompileService, RequestStatus, ServiceConfig};
 use chf_sim::functional::{profile_run, run, RunConfig};
 use std::time::Duration;
 
@@ -60,19 +60,6 @@ fn expired_deadline_degrades_with_partial_blocks() {
 }
 
 #[test]
-fn expired_deadline_times_out_under_fail_fast() {
-    let svc = CompileService::new(ServiceConfig::default());
-    let (mut req, _) = busy_request(5);
-    req.options.deadline = Some(Duration::ZERO);
-    req.options.fail_on_deadline = true;
-    let id = svc.submit(req);
-    let resp = svc.wait(id);
-    assert_eq!(resp.status, RequestStatus::TimedOut);
-    assert!(resp.compiled.is_none());
-    assert_eq!(svc.stats().timed_out, 1);
-}
-
-#[test]
 fn partial_results_are_never_cached() {
     let svc = CompileService::new(ServiceConfig::default());
     let (mut req, _) = busy_request(5);
@@ -92,22 +79,15 @@ fn partial_results_are_never_cached() {
 
 #[test]
 fn retry_gives_up_after_the_cap() {
-    let svc = CompileService::new(ServiceConfig {
-        retry: RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_micros(400),
-        },
-        ..ServiceConfig::default()
-    });
+    let svc = CompileService::new(ServiceConfig::default());
     let (mut req, _) = busy_request(9);
-    // Panic on more attempts than the policy allows: the request must
+    // Panic on more attempts than the retry cap allows: the request must
     // terminate as a contained failure, not retry forever.
     req.options.inject_panics = 10;
     let id = svc.submit(req);
     let resp = svc.wait(id);
     assert_eq!(resp.status, RequestStatus::Failed);
-    assert_eq!(resp.retries, 2, "exactly max_retries re-attempts");
+    assert_eq!(resp.retries, 2, "exactly the capped re-attempts");
     match resp.error {
         Some(ChfError::Panicked { context, .. }) => assert_eq!(context, "service worker"),
         other => panic!("expected a Panicked error, got {other:?}"),
@@ -119,14 +99,7 @@ fn retry_gives_up_after_the_cap() {
 
 #[test]
 fn transient_panics_recover_within_the_cap() {
-    let svc = CompileService::new(ServiceConfig {
-        retry: RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_micros(400),
-        },
-        ..ServiceConfig::default()
-    });
+    let svc = CompileService::new(ServiceConfig::default());
     let (mut req, _) = busy_request(9);
     req.options.inject_panics = 2;
     let resp = svc.wait(svc.submit(req));

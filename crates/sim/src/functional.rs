@@ -236,10 +236,6 @@ pub(crate) struct Machine {
 }
 
 impl Machine {
-    pub(crate) fn new(f: &Function, args: &[i64], mem_init: &[(i64, i64)]) -> Machine {
-        Machine::with_layout(f.reg_count() as usize, f.params, args, mem_init)
-    }
-
     pub(crate) fn with_layout(
         nregs: usize,
         params: u32,

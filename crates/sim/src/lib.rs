@@ -23,10 +23,10 @@
 //!   reproduces the first-order effects the paper's analysis rests on, not
 //!   the authors' exact cycle counts (see DESIGN.md, substitution 1).
 //!
-//! * [`timing_legacy`] (feature `legacy-sim`, default-on for one release) —
-//!   the original direct-interpretation cores, kept as the differential
-//!   reference: the rewritten engines must agree with them cycle-for-cycle
-//!   and bit-for-bit (`tests/differential.rs`).
+//! * `timing_legacy` (compiled only under `cfg(test)`) — the original
+//!   direct-interpretation cores, kept as the differential reference: the
+//!   rewritten engines must agree with them cycle-for-cycle and bit-for-bit
+//!   on generated programs and on the full microbenchmark suite.
 //!
 //! The [`predictor`] module provides the next-block (exit) predictor shared
 //! by the timing model.
@@ -38,12 +38,12 @@ pub mod functional;
 pub mod lower;
 pub mod predictor;
 pub mod timing;
-#[cfg(feature = "legacy-sim")]
-pub mod timing_legacy;
+#[cfg(test)]
+mod timing_legacy;
 
 pub use functional::{run, run_lowered, ExecError, FuncResult, RunConfig, SimError};
 pub use lower::LoweredProgram;
-pub use predictor::{ExitPredictor, PredictorConfig, PredictorKind};
+pub use predictor::{ExitPredictor, PredictorKind};
 pub use timing::{
     simulate_timing, simulate_timing_lowered, simulate_timing_lowered_traced,
     simulate_timing_traced, BlockEvent, MemoryOrdering, TimingConfig, TimingResult, TimingTrace,

@@ -9,7 +9,6 @@
 //! (e.g., parser_1's 11× misprediction-rate swing between heuristics).
 
 use chf_ir::block::ExitTarget;
-use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::BlockId;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -27,36 +26,13 @@ pub enum PredictorKind {
     Static,
 }
 
-/// Predictor sizing/behaviour knobs.
-#[derive(Clone, Debug)]
-pub struct PredictorConfig {
-    /// The prediction scheme.
-    pub kind: PredictorKind,
-    /// Number of global-history bits (each exit event contributes 2 bits).
-    pub history_bits: u32,
-    /// Maximum confidence of the per-entry saturating counter.
-    pub max_confidence: u8,
-}
+/// Global-history bits of the hybrid predictor (each exit event
+/// contributes 2 bits). Every block's entries fit a dense row of
+/// 2^8 slots, a few KiB per touched block.
+const HISTORY_BITS: u32 = 8;
 
-impl Default for PredictorConfig {
-    fn default() -> Self {
-        PredictorConfig {
-            kind: PredictorKind::Hybrid,
-            history_bits: 8,
-            max_confidence: 3,
-        }
-    }
-}
-
-impl PredictorConfig {
-    /// A configuration for the given scheme with default sizing.
-    pub fn of_kind(kind: PredictorKind) -> Self {
-        PredictorConfig {
-            kind,
-            ..PredictorConfig::default()
-        }
-    }
-}
+/// Maximum confidence of the per-entry saturating counter.
+const MAX_CONFIDENCE: u8 = 3;
 
 #[derive(Clone, Debug)]
 struct Entry {
@@ -64,70 +40,33 @@ struct Entry {
     confidence: u8,
 }
 
-/// Storage behind the `(block, history)` → [`Entry`] mapping.
-///
-/// Both variants implement the *same exact map*: an entry exists for a key
-/// iff it was trained, so the prediction/misprediction trajectory — and
-/// with it every golden cycle count — is identical regardless of which
-/// variant backs a run. The direct variant exists purely because the
-/// timing core probes the table once per dynamic block, and two array
-/// indexes beat hashing a 12-byte key.
-#[derive(Clone, Debug)]
-enum Table {
-    /// `history_bits` small enough that each block's entries fit a dense
-    /// array indexed by the raw (already-masked) history value. Block rows
-    /// are allocated lazily on first training so a fresh predictor costs
-    /// nothing for untouched blocks.
-    Direct {
-        blocks: Vec<Option<Box<[Option<Entry>]>>>,
-        row_len: usize,
-    },
-    /// Wider histories fall back to the general hash map.
-    Map(FxHashMap<(BlockId, u64), Entry>),
-}
-
-/// Widest global history (bits) served by the dense [`Table::Direct`]
-/// rows; 2^8 entries per touched block is a few KiB.
-const DIRECT_BITS_MAX: u32 = 8;
-
 /// Predicts which exit a block will take next.
 #[derive(Clone, Debug)]
 pub struct ExitPredictor {
     kind: PredictorKind,
-    table: Table,
+    /// The `(block, history)` → [`Entry`] table: one row per block, indexed
+    /// by the raw (already-masked) history value. Rows are allocated lazily
+    /// on first training so a fresh predictor costs nothing for untouched
+    /// blocks.
+    rows: Vec<Option<Box<[Option<Entry>]>>>,
     history: u64,
     history_mask: u64,
-    max_confidence: u8,
     predictions: u64,
     mispredictions: u64,
 }
 
 impl ExitPredictor {
-    /// Create a predictor with the given configuration.
-    pub fn new(config: &PredictorConfig) -> Self {
-        let bits = match config.kind {
-            PredictorKind::Hybrid => config.history_bits.min(62),
+    /// Create a predictor of the given kind.
+    pub fn new(kind: PredictorKind) -> Self {
+        let bits = match kind {
+            PredictorKind::Hybrid => HISTORY_BITS,
             PredictorKind::Bimodal | PredictorKind::Static => 0,
         };
-        let table = if bits <= DIRECT_BITS_MAX {
-            Table::Direct {
-                blocks: Vec::new(),
-                row_len: 1usize << bits,
-            }
-        } else {
-            // Preallocated so the steady-state table (typically a few
-            // hundred `(block, history)` pairs) never rehashes mid-run.
-            Table::Map(FxHashMap::with_capacity_and_hasher(
-                1024,
-                Default::default(),
-            ))
-        };
         ExitPredictor {
-            kind: config.kind,
-            table,
+            kind,
+            rows: Vec::new(),
             history: 0,
             history_mask: (1u64 << bits) - 1,
-            max_confidence: config.max_confidence,
             predictions: 0,
             mispredictions: 0,
         }
@@ -142,14 +81,11 @@ impl ExitPredictor {
         if self.kind == PredictorKind::Static {
             return None;
         }
-        match &self.table {
-            Table::Direct { blocks, .. } => blocks
-                .get(block.0 as usize)
-                .and_then(|row| row.as_ref())
-                .and_then(|row| row[self.history as usize].as_ref())
-                .map(|e| e.target),
-            Table::Map(m) => m.get(&(block, self.history)).map(|e| e.target),
-        }
+        self.rows
+            .get(block.0 as usize)
+            .and_then(|row| row.as_ref())
+            .and_then(|row| row[self.history as usize].as_ref())
+            .map(|e| e.target)
     }
 
     /// The 2-bit global-history contribution of a taken target.
@@ -184,53 +120,33 @@ impl ExitPredictor {
         tag: u8,
     ) -> bool {
         let is_static = self.kind == PredictorKind::Static;
-        let max_conf = self.max_confidence;
-        // Train an occupied slot; returns whether the dynamic prediction
-        // (the entry's target) was correct. Identical under both table
-        // variants.
-        let train = |entry: &mut Entry| {
-            let predicted = if is_static { fallback } else { entry.target };
-            let correct = predicted == actual;
-            if entry.target == actual {
-                entry.confidence = (entry.confidence + 1).min(max_conf);
-            } else if entry.confidence > 0 {
-                entry.confidence -= 1;
-            } else {
-                entry.target = actual;
+        let bi = block.0 as usize;
+        if bi >= self.rows.len() {
+            self.rows.resize_with(bi + 1, || None);
+        }
+        let row_len = self.history_mask as usize + 1;
+        let row = self.rows[bi].get_or_insert_with(|| vec![None; row_len].into_boxed_slice());
+        // `history` is kept masked, so it always indexes in range.
+        let correct = match &mut row[self.history as usize] {
+            Some(entry) => {
+                let predicted = if is_static { fallback } else { entry.target };
+                if entry.target == actual {
+                    entry.confidence = (entry.confidence + 1).min(MAX_CONFIDENCE);
+                } else if entry.confidence > 0 {
+                    entry.confidence -= 1;
+                } else {
+                    entry.target = actual;
+                }
+                predicted == actual
             }
-            correct
-        };
-        // A fresh entry trains on `actual` immediately (insert at
-        // confidence 0, then the `target == actual` bump).
-        let fresh = || Entry {
-            target: actual,
-            confidence: 1u8.min(max_conf),
-        };
-        let correct = match &mut self.table {
-            Table::Direct { blocks, row_len } => {
-                let bi = block.0 as usize;
-                if bi >= blocks.len() {
-                    blocks.resize_with(bi + 1, || None);
-                }
-                let row = blocks[bi].get_or_insert_with(|| vec![None; *row_len].into_boxed_slice());
-                // `history` is kept masked, so it always indexes in range.
-                match &mut row[self.history as usize] {
-                    Some(entry) => train(entry),
-                    slot @ None => {
-                        *slot = Some(fresh());
-                        fallback == actual
-                    }
-                }
-            }
-            Table::Map(m) => {
-                use std::collections::hash_map::Entry as MapEntry;
-                match m.entry((block, self.history)) {
-                    MapEntry::Occupied(mut o) => train(o.get_mut()),
-                    MapEntry::Vacant(v) => {
-                        v.insert(fresh());
-                        fallback == actual
-                    }
-                }
+            slot @ None => {
+                // A fresh entry trains on `actual` immediately (insert at
+                // confidence 0, then the `target == actual` bump).
+                *slot = Some(Entry {
+                    target: actual,
+                    confidence: 1,
+                });
+                fallback == actual
             }
         };
         self.predictions += 1;
@@ -275,7 +191,7 @@ mod tests {
 
     #[test]
     fn learns_stable_pattern() {
-        let mut p = ExitPredictor::new(&PredictorConfig::default());
+        let mut p = ExitPredictor::new(PredictorKind::Hybrid);
         // Warm up: block 0 always branches to block 11.
         for _ in 0..10 {
             p.update(b(0), t(10), t(11));
@@ -286,7 +202,7 @@ mod tests {
 
     #[test]
     fn single_target_blocks_always_predicted() {
-        let mut p = ExitPredictor::new(&PredictorConfig::default());
+        let mut p = ExitPredictor::new(PredictorKind::Hybrid);
         for _ in 0..100 {
             p.update(b(3), t(4), t(4));
         }
@@ -298,7 +214,7 @@ mod tests {
     fn same_target_exits_cannot_mispredict() {
         // Exits 0 and 1 both go to block 5: the next-block prediction is
         // identical regardless of which fires.
-        let mut p = ExitPredictor::new(&PredictorConfig::default());
+        let mut p = ExitPredictor::new(PredictorKind::Hybrid);
         for _ in 0..50 {
             assert!(p.update(b(2), t(5), t(5)));
         }
@@ -308,7 +224,7 @@ mod tests {
     #[test]
     fn history_disambiguates_alternation() {
         // Target pattern A,B,A,B,... becomes predictable once trained.
-        let mut p = ExitPredictor::new(&PredictorConfig::default());
+        let mut p = ExitPredictor::new(PredictorKind::Hybrid);
         let mut late_miss = 0;
         for i in 0..400 {
             let actual = t(10 + (i % 2));
@@ -323,7 +239,7 @@ mod tests {
     #[test]
     fn random_pattern_mispredicts_often() {
         // A pseudo-random target sequence should hurt.
-        let mut p = ExitPredictor::new(&PredictorConfig::default());
+        let mut p = ExitPredictor::new(PredictorKind::Hybrid);
         let mut x = 12345u64;
         for _ in 0..1000 {
             x = x
@@ -337,7 +253,7 @@ mod tests {
 
     #[test]
     fn static_predictor_never_learns() {
-        let mut p = ExitPredictor::new(&PredictorConfig::of_kind(PredictorKind::Static));
+        let mut p = ExitPredictor::new(PredictorKind::Static);
         // Block always branches to 5, but the static fallback says 4: every
         // prediction misses, forever.
         for _ in 0..20 {
@@ -349,7 +265,7 @@ mod tests {
 
     #[test]
     fn bimodal_learns_but_cannot_track_alternation() {
-        let mut p = ExitPredictor::new(&PredictorConfig::of_kind(PredictorKind::Bimodal));
+        let mut p = ExitPredictor::new(PredictorKind::Bimodal);
         let mut late_miss = 0;
         for i in 0..200 {
             let actual = t(10 + (i % 2));
@@ -365,11 +281,7 @@ mod tests {
     fn hysteresis_resists_single_anomaly() {
         // No history bits: a single table entry per block, so the anomaly
         // hits the trained entry directly.
-        let mut p = ExitPredictor::new(&PredictorConfig {
-            kind: PredictorKind::Bimodal,
-            history_bits: 0,
-            max_confidence: 3,
-        });
+        let mut p = ExitPredictor::new(PredictorKind::Bimodal);
         for _ in 0..8 {
             p.update(b(1), t(2), t(2));
         }

@@ -11,8 +11,8 @@
 //!   model, and the reason block-count reduction correlates with cycle
 //!   reduction (Figure 7).
 //! * **Dataflow issue** — instructions become ready when their operands
-//!   (including the predicate) arrive, contend for a 16-wide issue window,
-//!   and communicate over an operand network with per-hop latency. A long
+//!   (including the predicate) arrive and contend for a 16-wide issue
+//!   window; the operand network forwards values for free. A long
 //!   falsely-predicated path does *not* delay block completion, matching
 //!   EDGE dynamic issue; but a predicated instruction does wait for its
 //!   predicate, which is exactly the tail-duplication penalty of §5
@@ -52,9 +52,8 @@
 //! Because every event time is the max of already-known event times, the
 //! calendar never needs to revisit a bucket: the simulation advances
 //! monotonically, one pass over the dynamic instruction stream. The result
-//! is **cycle-for-cycle identical** to the legacy model
-//! ([`crate::timing_legacy::simulate_timing_legacy`], behind the
-//! `legacy-sim` feature), which `tests/differential.rs` and the table-1
+//! is **cycle-for-cycle identical** to the legacy model (the test-only
+//! `timing_legacy` module), which its differential tests and the table-1
 //! golden cycle snapshot enforce.
 //!
 //! Callers that simulate the same function many times should lower once
@@ -63,7 +62,7 @@
 
 use crate::functional::{eval, SimError};
 use crate::lower::{LExitKind, LKind, LoweredProgram, NONE};
-use crate::predictor::{ExitPredictor, PredictorConfig};
+use crate::predictor::{ExitPredictor, PredictorKind};
 use chf_ir::function::Function;
 use chf_ir::fxhash::FxHashMap;
 use std::collections::VecDeque;
@@ -88,19 +87,18 @@ pub enum MemoryOrdering {
     Conservative,
 }
 
+/// Instructions that may begin execution per cycle (TRIPS: 16).
+pub(crate) const ISSUE_WIDTH: u32 = 16;
+
 /// Microarchitectural parameters of the timing model.
 #[derive(Clone, Debug)]
 pub struct TimingConfig {
-    /// Instructions that may begin execution per cycle (TRIPS: 16).
-    pub issue_width: u32,
     /// Maximum blocks in flight (TRIPS: 8).
     pub window_blocks: usize,
     /// Instruction slots mapped onto the array per cycle (TRIPS: 16).
     pub fetch_bandwidth: u32,
     /// Fixed per-block map/dispatch cost in cycles.
     pub block_overhead: u64,
-    /// Operand-network hop latency between dependent instructions.
-    pub operand_latency: u64,
     /// Additional latency for values that cross blocks through the register
     /// file.
     pub register_latency: u64,
@@ -108,8 +106,8 @@ pub struct TimingConfig {
     pub mispredict_penalty: u64,
     /// Minimum cycles between consecutive in-order block commits.
     pub commit_overhead: u64,
-    /// Next-block predictor parameters.
-    pub predictor: PredictorConfig,
+    /// Next-block prediction scheme.
+    pub predictor: PredictorKind,
     /// In-block load/store ordering discipline.
     pub memory_ordering: MemoryOrdering,
     /// Block budget, as in the functional simulator.
@@ -121,15 +119,13 @@ impl TimingConfig {
     /// flight, 128-instruction blocks).
     pub fn trips() -> Self {
         TimingConfig {
-            issue_width: 16,
             window_blocks: 8,
             fetch_bandwidth: 16,
             block_overhead: 2,
-            operand_latency: 0,
             register_latency: 2,
             mispredict_penalty: 12,
             commit_overhead: 1,
-            predictor: PredictorConfig::default(),
+            predictor: PredictorKind::default(),
             memory_ordering: MemoryOrdering::default(),
             max_blocks: 20_000_000,
         }
@@ -648,9 +644,8 @@ enum EngineStep {
 
 /// The event-driven timing core as a steppable engine:
 /// [`simulate_timing_lowered`] drives it from program entry to return, one
-/// [`Engine::step`] per dynamic block. `ZERO_OPLAT` specializes the
-/// wake-up arithmetic for the default free operand network.
-struct Engine<'p, const ZERO_OPLAT: bool> {
+/// [`Engine::step`] per dynamic block.
+struct Engine<'p> {
     p: &'p LoweredProgram,
     config: &'p TimingConfig,
     rf: Vec<RegSlot>,
@@ -673,7 +668,6 @@ struct Engine<'p, const ZERO_OPLAT: bool> {
     /// clearing between blocks (or runs).
     lsq: Lsq,
     exact: bool,
-    op_lat: u64,
     /// Per-block fetch/map latency, precomputed so the block loop never
     /// divides.
     map_cycles: Vec<u64>,
@@ -681,7 +675,7 @@ struct Engine<'p, const ZERO_OPLAT: bool> {
     cur: u32,
 }
 
-impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
+impl<'p> Engine<'p> {
     fn new(
         p: &'p LoweredProgram,
         config: &'p TimingConfig,
@@ -720,8 +714,8 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
             config,
             rf,
             mem: SimMemory::new(mem_init),
-            predictor: ExitPredictor::new(&config.predictor),
-            ring: IssueRing::new(config.issue_width),
+            predictor: ExitPredictor::new(config.predictor),
+            ring: IssueRing::new(ISSUE_WIDTH),
             inflight: VecDeque::with_capacity(config.window_blocks + 1),
             last_commit: 0,
             fetch_ready: 0,
@@ -732,7 +726,6 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
             written: Vec::new(),
             lsq: Lsq::new(),
             exact: config.memory_ordering == MemoryOrdering::Exact,
-            op_lat: config.operand_latency,
             map_cycles,
             cur: p.entry,
         })
@@ -749,7 +742,6 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
         self.blocks_executed += 1;
         let tok = self.lsq.token(self.blocks_executed);
         let (exec_before, null_before) = (self.insts_executed, self.insts_nullified);
-        let op_lat = if ZERO_OPLAT { 0 } else { self.op_lat };
         let p = self.p;
 
         let lb = &p.blocks[self.cur as usize];
@@ -789,10 +781,7 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
             let (executes, pred_ready) = if inst.pred_reg == NONE {
                 (true, dispatch)
             } else {
-                (
-                    (sp.val != 0) == inst.pred_if_true,
-                    (sp.t + op_lat).max(dispatch),
-                )
+                ((sp.val != 0) == inst.pred_if_true, sp.t.max(dispatch))
             };
 
             if !executes {
@@ -817,13 +806,13 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
             // a data-dependent branch per operand.
             let sa = rf[(inst.a_reg as usize).min(last)];
             let (a, ta) = if inst.a_reg != NONE {
-                (sa.val, sa.t + op_lat)
+                (sa.val, sa.t)
             } else {
                 (inst.a_imm, 0)
             };
             let sb = rf[(inst.b_reg as usize).min(last)];
             let (b, tb) = if inst.b_reg != NONE {
-                (sb.val, sb.t + op_lat)
+                (sb.val, sb.t)
             } else {
                 (inst.b_imm, 0)
             };
@@ -910,7 +899,7 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
                     break;
                 }
                 let s = rf[e.pred_reg as usize];
-                resolve = resolve.max(s.t + op_lat);
+                resolve = resolve.max(s.t);
                 if (s.val != 0) == e.pred_if_true {
                     fired = Some(e);
                     break;
@@ -1038,27 +1027,9 @@ fn simulate_lowered_impl(
     args: &[i64],
     mem_init: &[(i64, i64)],
     config: &TimingConfig,
-    trace: Option<&mut TimingTrace>,
-) -> Result<TimingResult, SimError> {
-    // TRIPS forwards operands over the operand network for free
-    // (`operand_latency == 0`, the default configuration). Specializing
-    // the hot loop on that case lets every `+ op_lat` in the per-operand
-    // wake-up arithmetic constant-fold away.
-    if config.operand_latency == 0 {
-        simulate_lowered_generic::<true>(p, args, mem_init, config, trace)
-    } else {
-        simulate_lowered_generic::<false>(p, args, mem_init, config, trace)
-    }
-}
-
-fn simulate_lowered_generic<const ZERO_OPLAT: bool>(
-    p: &LoweredProgram,
-    args: &[i64],
-    mem_init: &[(i64, i64)],
-    config: &TimingConfig,
     mut trace: Option<&mut TimingTrace>,
 ) -> Result<TimingResult, SimError> {
-    let mut eng: Engine<'_, ZERO_OPLAT> = Engine::new(p, config, args, mem_init)?;
+    let mut eng = Engine::new(p, config, args, mem_init)?;
     let ret = loop {
         match eng.step(trace.as_deref_mut())? {
             EngineStep::Continue => {}

@@ -1,6 +1,6 @@
-//! Legacy (pre-event-queue) simulator cores, kept for one release behind
-//! the default-on `legacy-sim` feature as the differential reference for
-//! the rewritten engines in [`crate::timing`] and [`crate::functional`].
+//! Legacy (pre-event-queue) simulator cores, compiled only into this
+//! crate's tests as the differential reference for the rewritten engines in
+//! [`crate::timing`] and [`crate::functional`].
 //!
 //! These are the original per-block interpreters: the timing model walks
 //! `chf_ir` structures directly, re-matching `Option<Operand>` slots and
@@ -8,8 +8,9 @@
 //! re-hashes profile keys per block. They are slow but simple, and the
 //! rewritten cores must agree with them **exactly** — same cycles, same
 //! counters, same return value and memory digest, same error on broken IR.
-//! `tests/differential.rs` enforces this over generated programs, and the
-//! table-1 golden cycle snapshot pins the agreed numbers.
+//! The [`differential`] tests enforce this over generated programs and the
+//! full microbenchmark suite, and the table-1 golden cycle snapshot pins the
+//! agreed numbers.
 //!
 //! One deliberate change is landed even here: the `MemoryOrdering::Exact`
 //! LSQ path used to rescan every earlier store in the block per load
@@ -20,7 +21,7 @@
 
 use crate::functional::{exec_inst, FuncResult, Machine, RunConfig, SimError};
 use crate::predictor::ExitPredictor;
-use crate::timing::{MemoryOrdering, TimingConfig, TimingResult};
+use crate::timing::{MemoryOrdering, TimingConfig, TimingResult, ISSUE_WIDTH};
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
 use chf_ir::fxhash::FxHashMap;
@@ -83,7 +84,7 @@ pub fn simulate_timing_legacy(
     mem_init: &[(i64, i64)],
     config: &TimingConfig,
 ) -> Result<TimingResult, SimError> {
-    let mut m = Machine::new(f, args, mem_init);
+    let mut m = Machine::with_layout(f.reg_count() as usize, f.params, args, mem_init);
     let nregs = f.reg_count() as usize;
     // Reject out-of-range register references up front: the dense `avail`
     // vector below (and the liveness bitsets) index by register number, so
@@ -122,8 +123,8 @@ pub fn simulate_timing_legacy(
     let liveness = chf_ir::liveness::Liveness::compute(f);
     // Cycle at which each register's current value becomes available.
     let mut avail: Vec<u64> = vec![0; nregs];
-    let mut predictor = ExitPredictor::new(&config.predictor);
-    let mut slots = IssueSlots::new(config.issue_width);
+    let mut predictor = ExitPredictor::new(config.predictor);
+    let mut slots = IssueSlots::new(ISSUE_WIDTH);
 
     // In-order commit times of in-flight blocks.
     let mut inflight: VecDeque<u64> = VecDeque::new();
@@ -179,7 +180,7 @@ pub fn simulate_timing_legacy(
                 None => (true, dispatch),
                 Some(p) => {
                     let v = m.read(p.reg, cur, false)?;
-                    let t = avail[p.reg.index()] + config.operand_latency;
+                    let t = avail[p.reg.index()];
                     (((v != 0) == p.if_true), t.max(dispatch))
                 }
             };
@@ -201,7 +202,7 @@ pub fn simulate_timing_legacy(
             let mut ready = pred_ready.max(dispatch + 1);
             for o in [inst.a, inst.b].into_iter().flatten() {
                 if let Operand::Reg(r) = o {
-                    ready = ready.max(avail[r.index()] + config.operand_latency);
+                    ready = ready.max(avail[r.index()]);
                 }
             }
             // In-block memory ordering: a load may have to wait for earlier
@@ -269,7 +270,7 @@ pub fn simulate_timing_legacy(
                 }
                 Some(p) => {
                     let v = m.read(p.reg, cur, false)?;
-                    let t = avail[p.reg.index()] + config.operand_latency;
+                    let t = avail[p.reg.index()];
                     resolve = resolve.max(t);
                     if (v != 0) == p.if_true {
                         fired = Some(e.target);
@@ -406,7 +407,7 @@ pub fn run_legacy(
     mem_init: &[(i64, i64)],
     config: &RunConfig,
 ) -> Result<FuncResult, SimError> {
-    let mut m = Machine::new(f, args, mem_init);
+    let mut m = Machine::with_layout(f.reg_count() as usize, f.params, args, mem_init);
     let mut profile = ProfileData::default();
     let mut trips = if config.collect_trip_counts {
         Some(TripTracker::new(f))
@@ -492,3 +493,5 @@ pub fn run_legacy(
         profile,
     })
 }
+
+mod differential;

@@ -1,20 +1,19 @@
 //! Differential oracle for the event-driven rewrite: the new engines must
 //! agree with the retained legacy cores *exactly* — cycle-for-cycle on the
 //! timing side, bit-for-bit on the functional side — over generated
-//! programs, all memory orderings, corrupted IR, and fuel exhaustion.
+//! programs, the full microbenchmark suite, all memory orderings, corrupted
+//! IR, and fuel exhaustion.
 //!
-//! This suite is the contract that lets `legacy-sim` be dropped after one
-//! release: any divergence here is a bug in the rewrite, never a "new
-//! behaviour".
-#![cfg(feature = "legacy-sim")]
+//! Any divergence here is a bug in the rewrite, never a "new behaviour".
 
+use super::{run_legacy, simulate_timing_legacy};
+use crate::functional::{run, RunConfig, SimError};
+use crate::timing::{simulate_timing, MemoryOrdering, TimingConfig, TimingResult};
+use chf_core::pipeline::{compile, CompileConfig};
 use chf_ir::function::Function;
 use chf_ir::ids::{BlockId, Reg};
 use chf_ir::instr::Operand;
 use chf_ir::testgen::{generate, GenConfig};
-use chf_sim::functional::{run, RunConfig, SimError};
-use chf_sim::timing::{simulate_timing, MemoryOrdering, TimingConfig};
-use chf_sim::timing_legacy::{run_legacy, simulate_timing_legacy};
 use proptest::prelude::*;
 
 const ORDERINGS: [MemoryOrdering; 3] = [
@@ -24,12 +23,7 @@ const ORDERINGS: [MemoryOrdering; 3] = [
 ];
 
 /// Assert every observable field of two timing results is identical.
-fn assert_timing_eq(
-    f: &Function,
-    ordering: MemoryOrdering,
-    ev: &chf_sim::timing::TimingResult,
-    lg: &chf_sim::timing::TimingResult,
-) {
+fn assert_timing_eq(f: &Function, ordering: MemoryOrdering, ev: &TimingResult, lg: &TimingResult) {
     let ctx = format!("fn {:?}, ordering {ordering:?}", f.name);
     assert_eq!(ev.cycles, lg.cycles, "cycles diverged: {ctx}");
     assert_eq!(ev.blocks_executed, lg.blocks_executed, "blocks: {ctx}");
@@ -224,4 +218,30 @@ fn out_of_fuel_payload_matches() {
         simulate_timing(&f, &[100, 0], &[], &tc).unwrap_err(),
         simulate_timing_legacy(&f, &[100, 0], &[], &tc).unwrap_err()
     );
+}
+
+/// The golden cycle capture must also be what the legacy core computes:
+/// this pins old and new engines to the same numbers on real workloads —
+/// every microbenchmark, basic-block and compiled form, under every memory
+/// ordering — rather than on generated programs.
+#[test]
+fn event_core_matches_legacy_on_full_suite() {
+    for w in chf_workloads::microbenchmarks() {
+        let compiled = compile(&w.function, &w.profile, &CompileConfig::default());
+        for (form, f) in [("bb", &w.function), ("hb", &compiled.function)] {
+            for ordering in ORDERINGS {
+                let cfg = TimingConfig {
+                    memory_ordering: ordering,
+                    ..TimingConfig::trips()
+                };
+                let ev = simulate_timing(f, &w.args, &w.memory, &cfg).unwrap();
+                let lg = simulate_timing_legacy(f, &w.args, &w.memory, &cfg).unwrap();
+                let ctx = format!("{} {form} {ordering:?}", w.name);
+                assert_eq!(ev.cycles, lg.cycles, "{ctx}");
+                assert_eq!(ev.mispredictions, lg.mispredictions, "{ctx}");
+                assert_eq!(ev.insts_executed, lg.insts_executed, "{ctx}");
+                assert_eq!(ev.digest(), lg.digest(), "{ctx}");
+            }
+        }
+    }
 }

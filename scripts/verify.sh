@@ -7,7 +7,9 @@
 #                                # tournament, corpus, chaos, service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
-#   scripts/verify.sh lint       # cargo clippy --workspace -- -D warnings
+#   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
+#                                # -- -D warnings (tests, benches and
+#                                # test-only modules included)
 #   scripts/verify.sh test       # cargo test --workspace -q (every
 #                                # crate's tests, not just the root
 #                                # package's)
@@ -66,8 +68,8 @@ run_build() {
 }
 
 run_lint() {
-    echo "==> cargo clippy --workspace -- -D warnings"
-    cargo clippy --workspace -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy --workspace --all-targets -- -D warnings
 }
 
 run_test() {

@@ -94,38 +94,3 @@ fn timing_cycles_match_golden() {
         );
     }
 }
-
-/// The golden capture must also be what the *legacy* core computes: this is
-/// the whole-suite differential check (satellite of the proptest in
-/// `crates/sim/tests/differential.rs`), pinning old and new engines to the
-/// same numbers on real workloads rather than generated programs.
-#[cfg(feature = "legacy-sim")]
-#[test]
-fn event_core_matches_legacy_on_full_suite() {
-    use chf::sim::timing_legacy::simulate_timing_legacy;
-    for w in chf::workloads::microbenchmarks() {
-        let compiled = compile(&w.function, &w.profile, &CompileConfig::default());
-        for (form, f) in [("bb", &w.function), ("hb", &compiled.function)] {
-            for (ordering, label) in ORDERINGS {
-                let cfg = TimingConfig {
-                    memory_ordering: ordering,
-                    ..TimingConfig::trips()
-                };
-                let ev = chf::sim::timing::simulate_timing(f, &w.args, &w.memory, &cfg).unwrap();
-                let lg = simulate_timing_legacy(f, &w.args, &w.memory, &cfg).unwrap();
-                assert_eq!(ev.cycles, lg.cycles, "{} {form} {label}", w.name);
-                assert_eq!(
-                    ev.mispredictions, lg.mispredictions,
-                    "{} {form} {label}",
-                    w.name
-                );
-                assert_eq!(
-                    ev.insts_executed, lg.insts_executed,
-                    "{} {form} {label}",
-                    w.name
-                );
-                assert_eq!(ev.digest(), lg.digest(), "{} {form} {label}", w.name);
-            }
-        }
-    }
-}
