@@ -2,16 +2,25 @@
 
 use crate::block::Block;
 use crate::ids::{BlockId, Reg};
+use std::fmt;
 
 /// A function: a control-flow graph of [`Block`]s with a distinguished entry.
 ///
 /// Registers `r0..r{params}` hold the arguments on entry. Blocks are stored
 /// in a slot vector so [`BlockId`]s remain stable when blocks are removed.
-#[derive(Clone, Debug)]
+///
+/// Each block slot also carries a *clean mask* for block-local passes (see
+/// [`Function::run_local`]). The mask is a pure cache: it never shows in
+/// `Debug`, `Display` or any fingerprint.
+#[derive(Clone)]
 pub struct Function {
     /// Function name (used in diagnostics and workload tables).
     pub name: String,
     blocks: Vec<Option<Block>>,
+    /// One byte per block slot, parallel to `blocks`: bit *k* set means
+    /// block-local pass *k* last ran on the slot's current contents and
+    /// changed nothing. Every mutable access to a block clears its byte.
+    clean: Vec<u8>,
     /// Entry block.
     pub entry: BlockId,
     /// Number of parameters (passed in `r0..params`).
@@ -26,6 +35,7 @@ impl Function {
         let mut f = Function {
             name: name.into(),
             blocks: Vec::new(),
+            clean: Vec::new(),
             entry: BlockId(0),
             params,
             nregs: params,
@@ -57,6 +67,7 @@ impl Function {
     pub fn add_block(&mut self, block: Block) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(Some(block));
+        self.clean.push(0);
         id
     }
 
@@ -70,6 +81,7 @@ impl Function {
         let slot = &mut self.blocks[id.index()];
         assert!(slot.is_some(), "block {id} already removed");
         *slot = None;
+        self.clean[id.index()] = 0;
     }
 
     /// Whether `id` refers to a live (not removed) block.
@@ -95,9 +107,37 @@ impl Function {
     /// # Panics
     /// Panics if the block was removed or never existed.
     pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
+        self.clean[id.index()] = 0;
         self.blocks[id.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("block {id} does not exist"))
+    }
+
+    /// Run the block-local pass `pass` over block `id` unless bit `bit` of
+    /// the block's clean mask records that it already ran on these exact
+    /// contents and returned `false`. A pass that is a deterministic
+    /// function of the block and changes nothing whenever it returns
+    /// `false` would return `false` again, so the skip is exact.
+    ///
+    /// On `false` the bit is set; on `true` the whole mask is cleared,
+    /// since every other pass's verdict was about the old contents.
+    /// Returns what the pass returned, or `false` when it was skipped.
+    ///
+    /// # Panics
+    /// Panics if `bit >= 8` or the block was removed or never existed.
+    pub fn run_local(&mut self, id: BlockId, bit: u32, pass: fn(&mut Block) -> bool) -> bool {
+        assert!(bit < u8::BITS, "clean-mask bit {bit} out of range");
+        let flag = 1u8 << bit;
+        let i = id.index();
+        if self.clean[i] & flag != 0 {
+            return false;
+        }
+        let blk = self.blocks[i]
+            .as_mut()
+            .unwrap_or_else(|| panic!("block {id} does not exist"));
+        let changed = pass(blk);
+        self.clean[i] = if changed { 0 } else { self.clean[i] | flag };
+        changed
     }
 
     /// Borrow a block if it exists.
@@ -164,12 +204,17 @@ impl Function {
     where
         I: IntoIterator<Item = BlockId>,
     {
-        let mut saved: Vec<(BlockId, Option<Block>)> = Vec::new();
+        let mut saved: Vec<(BlockId, Option<Block>, u8)> = Vec::new();
         for id in ids {
-            if saved.iter().any(|(i, _)| *i == id) {
+            if saved.iter().any(|(i, _, _)| *i == id) {
                 continue;
             }
-            saved.push((id, self.blocks.get(id.index()).cloned().flatten()));
+            let i = id.index();
+            saved.push((
+                id,
+                self.blocks.get(i).cloned().flatten(),
+                self.clean.get(i).copied().unwrap_or(0),
+            ));
         }
         BlocksSnapshot {
             saved,
@@ -182,7 +227,8 @@ impl Function {
     /// blocks added since the snapshot are dropped, the saved blocks are
     /// restored verbatim (including removal state), and the register count
     /// is rewound so register numbering in later trials is unaffected by
-    /// rolled-back ones.
+    /// rolled-back ones. Restored blocks get back their clean masks too,
+    /// since their contents are again exactly the snapshotted ones.
     ///
     /// The caller guarantees that no block *outside* the snapshot was
     /// mutated since the snapshot was taken; this is what makes the restore
@@ -193,10 +239,26 @@ impl Function {
             "snapshot outlived a structural change it cannot undo"
         );
         self.blocks.truncate(snap.len);
-        for (id, blk) in snap.saved {
+        self.clean.truncate(snap.len);
+        for (id, blk, clean) in snap.saved {
             self.blocks[id.index()] = blk;
+            self.clean[id.index()] = clean;
         }
         self.nregs = snap.nregs;
+    }
+}
+
+/// `Debug` lists everything but the clean masks, which are a cache and not
+/// part of the function.
+impl fmt::Debug for Function {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Function")
+            .field("name", &self.name)
+            .field("blocks", &self.blocks)
+            .field("entry", &self.entry)
+            .field("params", &self.params)
+            .field("nregs", &self.nregs)
+            .finish()
     }
 }
 
@@ -204,9 +266,9 @@ impl Function {
 /// [`Function::snapshot_blocks`], consumed by [`Function::restore_blocks`].
 #[derive(Clone, Debug)]
 pub struct BlocksSnapshot {
-    /// Saved `(id, slot)` pairs — `None` marks a block that was already
-    /// removed when the snapshot was taken.
-    saved: Vec<(BlockId, Option<Block>)>,
+    /// Saved `(id, slot, clean mask)` triples — a `None` slot marks a
+    /// block that was already removed when the snapshot was taken.
+    saved: Vec<(BlockId, Option<Block>, u8)>,
     /// Length of the block slot vector at snapshot time; later additions
     /// are truncated away on restore.
     len: usize,
@@ -309,6 +371,76 @@ mod tests {
         let snap = f.snapshot_blocks([e]);
         f.restore_blocks(snap);
         assert_eq!(format!("{f:?}"), before);
+    }
+
+    fn unchanged(_: &mut Block) -> bool {
+        false
+    }
+
+    fn grows(b: &mut Block) -> bool {
+        b.insts.push(Instr::mov(Reg(0), Operand::Imm(0)));
+        true
+    }
+
+    fn must_be_skipped(_: &mut Block) -> bool {
+        panic!("ran a pass on a block whose clean bit was set")
+    }
+
+    #[test]
+    fn run_local_sets_bit_only_on_false_and_skips_clean_blocks() {
+        let mut f = Function::new("f", 1);
+        let b = f.entry;
+        assert_eq!(f.clean[b.index()], 0);
+        assert!(!f.run_local(b, 0, unchanged));
+        assert!(!f.run_local(b, 3, unchanged));
+        assert_eq!(f.clean[b.index()], 0b1001);
+        // A set bit skips the pass outright.
+        assert!(!f.run_local(b, 0, must_be_skipped));
+        // A pass that changes the block clears every bit and sets none.
+        assert!(f.run_local(b, 1, grows));
+        assert_eq!(f.clean[b.index()], 0);
+        assert_eq!(f.block(b).insts.len(), 1);
+    }
+
+    #[test]
+    fn block_mutation_and_structure_changes_clear_the_mask() {
+        let mut f = Function::new("f", 1);
+        let e = f.entry;
+        let b = f.add_block(Block::new());
+        assert_eq!(f.clean[b.index()], 0, "added blocks start dirty");
+        f.run_local(e, 2, unchanged);
+        f.run_local(b, 2, unchanged);
+        let clone = f.clone();
+        assert_eq!(clone.clean, f.clean, "clones keep the mask");
+        f.block_mut(e);
+        assert_eq!(f.clean[e.index()], 0);
+        assert_eq!(f.clean[b.index()], 0b100, "other blocks keep their bits");
+        f.remove_block(b);
+        assert_eq!(f.clean[b.index()], 0);
+    }
+
+    #[test]
+    fn restore_blocks_restores_the_snapshotted_mask() {
+        let mut f = Function::new("f", 1);
+        let e = f.entry;
+        let b = f.add_block(Block::new());
+        f.run_local(e, 0, unchanged);
+        let snap = f.snapshot_blocks([e, b]);
+        f.run_local(b, 1, unchanged);
+        f.block_mut(e);
+        f.add_block(Block::new());
+        f.restore_blocks(snap);
+        assert_eq!(f.clean, vec![0b1, 0]);
+    }
+
+    #[test]
+    fn debug_output_ignores_the_mask() {
+        let mut f = Function::new("f", 1);
+        let e = f.entry;
+        let before = format!("{f:?}");
+        f.run_local(e, 4, unchanged);
+        assert_eq!(format!("{f:?}"), before);
+        assert!(!before.contains("clean"));
     }
 
     #[test]

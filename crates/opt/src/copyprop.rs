@@ -122,12 +122,7 @@ impl Pass for CopyProp {
     }
 
     fn run(&mut self, f: &mut Function) -> bool {
-        let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= propagate_block(f.block_mut(b));
-        }
-        changed
+        crate::run_local_all(f, crate::clean_bit::COPYPROP, propagate_block)
     }
 }
 

@@ -17,13 +17,14 @@ use chf_ir::liveness::Liveness;
 pub struct Dce;
 
 /// Remove dead instructions from block `b`, given `live`, the function-wide
-/// liveness solution. Mutates only `b`.
+/// liveness solution. Mutates only `b`, and borrows it mutably only when
+/// something is dead, so an unchanged block keeps its clean mask (see
+/// [`Function::run_local`]).
 fn sweep_block(f: &mut Function, b: chf_ir::ids::BlockId, live: &Liveness) -> bool {
     // Live set at the end of the instruction list: successors'
     // needs plus this block's own exit uses.
     let mut alive: FxHashSet<Reg> = live.live_out(b).to_set();
-    let mut changed = false;
-    let blk = f.block_mut(b);
+    let blk = f.block(b);
     for e in &blk.exits {
         if let Some(p) = e.pred {
             alive.insert(p.reg);
@@ -37,6 +38,7 @@ fn sweep_block(f: &mut Function, b: chf_ir::ids::BlockId, live: &Liveness) -> bo
 
     // Backward sweep.
     let mut keep = vec![true; blk.insts.len()];
+    let mut changed = false;
     for (i, inst) in blk.insts.iter().enumerate().rev() {
         if inst.has_side_effect() {
             for u in inst.uses() {
@@ -58,9 +60,9 @@ fn sweep_block(f: &mut Function, b: chf_ir::ids::BlockId, live: &Liveness) -> bo
         }
     }
 
-    if keep.iter().any(|k| !k) {
+    if changed {
         let mut idx = 0;
-        blk.insts.retain(|_| {
+        f.block_mut(b).insts.retain(|_| {
             let k = keep[idx];
             idx += 1;
             k

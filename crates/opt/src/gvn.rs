@@ -331,11 +331,7 @@ impl Pass for Gvn {
     }
 
     fn run(&mut self, f: &mut Function) -> bool {
-        let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= value_number_block(f.block_mut(b));
-        }
+        let mut changed = crate::run_local_all(f, crate::clean_bit::GVN_LOCAL, value_number_block);
         changed |= run_global(f);
         changed
     }

@@ -7,7 +7,7 @@
 //! so this cleanup directly serves the paper's block-count metric.
 
 use crate::Pass;
-use chf_ir::block::ExitTarget;
+use chf_ir::block::{Exit, ExitTarget};
 use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
 
@@ -101,9 +101,15 @@ impl Pass for JumpThread {
         if resolved.is_empty() {
             return false;
         }
+        let threads =
+            |e: &Exit| matches!(e.target, ExitTarget::Block(t) if resolved.contains_key(&t));
         for &b in &ids {
-            let blk = f.block_mut(b);
-            for e in &mut blk.exits {
+            // Borrow mutably only a block whose exits change, so every other
+            // block keeps its clean mask (see `Function::run_local`).
+            if !f.block(b).exits.iter().any(threads) {
+                continue;
+            }
+            for e in &mut f.block_mut(b).exits {
                 if let ExitTarget::Block(t) = e.target {
                     if let Some(&dst) = resolved.get(&t) {
                         // Do not thread a block into itself via its own

@@ -27,7 +27,9 @@
 //! image); the test suite enforces this over thousands of generated
 //! programs.
 
+use chf_ir::block::Block;
 use chf_ir::function::Function;
+use chf_ir::ids::BlockId;
 
 pub mod constfold;
 pub mod copyprop;
@@ -36,6 +38,30 @@ pub mod gvn;
 pub mod jumpthread;
 pub mod predopt;
 pub mod strength;
+
+/// Clean-mask bit of each block-local pass (see [`Function::run_local`]).
+/// Each pass owns one bit; a block whose bit is set is skipped.
+pub(crate) mod clean_bit {
+    pub const CONSTFOLD: u32 = 0;
+    pub const STRENGTH: u32 = 1;
+    pub const COPYPROP: u32 = 2;
+    pub const GVN_LOCAL: u32 = 3;
+    pub const PREDOPT: u32 = 4;
+}
+
+/// Run the block-local `pass` over every live block of `f`, skipping the
+/// blocks it already left unchanged (clean-mask bit `bit` set). Returns
+/// whether any block changed.
+pub(crate) fn run_local_all(f: &mut Function, bit: u32, pass: fn(&mut Block) -> bool) -> bool {
+    let mut changed = false;
+    for i in 0..f.block_slots() {
+        let b = BlockId(i as u32);
+        if f.contains_block(b) {
+            changed |= f.run_local(b, bit, pass);
+        }
+    }
+    changed
+}
 
 /// A scalar optimization pass.
 pub trait Pass {
@@ -113,6 +139,11 @@ pub fn optimize(f: &mut Function) {
 /// of the standard pipeline, which removes the redundancy a single merge
 /// introduces without iterating to a full fixpoint. The formation driver
 /// runs the full [`optimize`] once at the end.
+///
+/// Convergent formation calls this once per committed merge. The
+/// block-local passes skip every block they already left unchanged (see
+/// [`Function::run_local`]), so such a call re-scans only the blocks
+/// changed since the last one.
 pub fn optimize_quick(f: &mut Function) {
     PassManager::standard().with_max_rounds(2).run(f);
 }
@@ -128,20 +159,21 @@ pub fn optimize_quick(f: &mut Function) {
 /// not disturb any block outside the trial's snapshot (rollback restores
 /// only the snapshot). The whole-function [`optimize_quick`] then runs once
 /// per *committed* merge, not once per trial.
-pub fn optimize_block_quick(f: &mut Function, b: chf_ir::ids::BlockId) {
+pub fn optimize_block_quick(f: &mut Function, b: BlockId) {
     // Purely local rounds first (no whole-function analyses), then one
     // global round: scoped global value numbering, exit threading, and
     // liveness-based DCE, followed by a final local cleanup of whatever
     // the global round exposed. This mirrors what two full pipeline rounds
-    // achieve on the merged block while computing the expensive global
-    // analyses (dominators, loop forest, liveness) once instead of twice.
+    // achieve on the merged block. The dominator tree and loop forest are
+    // computed once; liveness is computed once, or twice when the global
+    // round changed something and DCE runs again after the final cleanup.
     let local = |f: &mut Function| {
         let mut changed = false;
-        changed |= constfold::fold_block(f.block_mut(b));
-        changed |= strength::reduce_block(f.block_mut(b));
-        changed |= copyprop::propagate_block(f.block_mut(b));
-        changed |= gvn::value_number_block(f.block_mut(b));
-        changed |= predopt::optimize_block(f.block_mut(b));
+        changed |= f.run_local(b, clean_bit::CONSTFOLD, constfold::fold_block);
+        changed |= f.run_local(b, clean_bit::STRENGTH, strength::reduce_block);
+        changed |= f.run_local(b, clean_bit::COPYPROP, copyprop::propagate_block);
+        changed |= f.run_local(b, clean_bit::GVN_LOCAL, gvn::value_number_block);
+        changed |= f.run_local(b, clean_bit::PREDOPT, predopt::optimize_block);
         changed
     };
     for _ in 0..2 {

@@ -182,11 +182,7 @@ impl Pass for PredOpt {
     }
 
     fn run(&mut self, f: &mut Function) -> bool {
-        let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= optimize_block(f.block_mut(b));
-        }
+        let changed = crate::run_local_all(f, crate::clean_bit::PREDOPT, optimize_block);
         if changed {
             chf_ir::cfg::remove_unreachable(f);
         }

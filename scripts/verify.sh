@@ -3,8 +3,9 @@
 # report) each one separately while local use stays one command:
 #
 #   scripts/verify.sh            # everything, in order (same as `all`)
-#   scripts/verify.sh all        # fmt, build, lint, test, perf, smoke,
-#                                # tournament, corpus, chaos, service
+#   scripts/verify.sh all        # fmt, build, lint, test, perf, bench,
+#                                # smoke, tournament, corpus, chaos,
+#                                # service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
 #   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
@@ -14,6 +15,9 @@
 #                                # crate's tests, not just the root
 #                                # package's)
 #   scripts/verify.sh perf       # bench_perf --check (perf regression gate)
+#   scripts/verify.sh bench      # perfbench self-tests: metric names match
+#                                # BENCHMARK.json, the compile mirror equals
+#                                # try_compile, workloads are deterministic
 #   scripts/verify.sh smoke      # whole_program --smoke
 #   scripts/verify.sh tournament # policy-tournament gate: portfolio
 #                                # dominance over every fixed column,
@@ -86,6 +90,17 @@ run_perf() {
     cargo run --release -p chf-bench --bin bench_perf -- --check
 }
 
+# Runs the repository benchmark's own tests (perfbench is not a workspace
+# member, so `test` does not reach them): emitted metric names and units
+# match BENCHMARK.json, the traced compile mirror is byte-identical to
+# try_compile on both paper suites under all five orderings, generated
+# slices repeat per seed, and one pass of each workload gives the same
+# exact results untraced and traced.
+run_bench() {
+    echo "==> perfbench self-tests"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 # Cycle-simulates a bounded prefix of the SPEC-like composite workloads
 # end-to-end through the event-driven core and checks the
 # measured-vs-model comparison is produced.
@@ -146,6 +161,7 @@ run_all() {
     run_lint
     run_test
     run_perf
+    run_bench
     run_smoke
     run_tournament
     run_corpus
@@ -168,6 +184,7 @@ while [ "$#" -gt 0 ]; do
         lint) run_lint ;;
         test) run_test ;;
         perf) run_perf ;;
+        bench) run_bench ;;
         smoke) run_smoke ;;
         tournament) run_tournament ;;
         corpus) run_corpus ;;
@@ -194,7 +211,7 @@ while [ "$#" -gt 0 ]; do
         all) run_all ;;
         *)
             echo "verify.sh: unknown step '${step}'" >&2
-            echo "usage: scripts/verify.sh [fmt|build|lint|test|perf|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
+            echo "usage: scripts/verify.sh [fmt|build|lint|test|perf|bench|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
             exit 2
             ;;
     esac
