@@ -76,8 +76,8 @@ fn table1_artifacts(workers: usize) -> String {
     let rendered = chf_bench::table1::render(&rows);
     let pts = chf_bench::fig7::points(&rows);
     let fit = chf_bench::fig7::linear_fit(&pts);
-    let mut out = chf_bench::csv::table1_csv(&rows);
-    out.push_str(&chf_bench::csv::fig7_csv(&pts, &fit));
+    let mut out = chf_bench::table1::csv(&rows);
+    out.push_str(&chf_bench::fig7::csv(&pts, &fit));
     out.push_str(&rendered);
     out
 }

@@ -22,11 +22,13 @@
 //! Usage: `chaos [--service|--service-soak] [N] [--clients C]
 //! [--fault-percent P]` (default 500 faults / 200 soak requests,
 //! 4 clients). Environment: `CHF_FAULT_SEED` pins the campaign seed
-//! (default 1). Any oracle-mismatch reproducers are written to
-//! `results/repros/`. The last line on stdout is always a one-line JSON
-//! summary with per-kind counts, for CI consumption; service modes also
-//! write the stats snapshot to `results/service_stats.json`. Exits
-//! non-zero if the campaign fails, for use as a CI gate.
+//! (default 1). The formation campaign's oracle writes any mismatch
+//! reproducer as a `.til` file under `results/repros/` (CI uploads that
+//! directory; the campaign does not list them). The last line on stdout is
+//! always a one-line JSON summary with per-kind counts, for CI consumption;
+//! service modes also write the stats snapshot to
+//! `results/service_stats.json`. Exits non-zero if the campaign fails, for
+//! use as a CI gate.
 
 use std::path::PathBuf;
 
@@ -156,9 +158,6 @@ fn main() {
     println!("chaos campaign: {faults} faults, seed {seed} (set CHF_FAULT_SEED to replay)");
     let report = chf_core::chaos::campaign(seed, faults, Some(repro_dir));
     println!("{report}");
-    for r in &report.repros {
-        println!("  repro: {}", r.display());
-    }
     let ok = report.ok();
     if ok {
         println!("PASS: no aborts, no undetected miscompiles");

@@ -32,14 +32,14 @@ fn main() {
     );
 
     for (name, data) in [
-        ("results/table1.csv", chf_bench::csv::table1_csv(&t1)),
-        ("results/table2.csv", chf_bench::csv::table2_csv(&t2)),
+        ("results/table1.csv", chf_bench::table1::csv(&t1)),
+        ("results/table2.csv", chf_bench::table2::csv(&t2)),
         (
             "results/table2_budget.csv",
-            chf_bench::csv::table2_budget_csv(&t2b),
+            chf_bench::table2::budget_csv(&t2b),
         ),
-        ("results/table3.csv", chf_bench::csv::table3_csv(&t3)),
-        ("results/fig7.csv", chf_bench::csv::fig7_csv(&pts, &fit)),
+        ("results/table3.csv", chf_bench::table3::csv(&t3)),
+        ("results/fig7.csv", chf_bench::fig7::csv(&pts, &fit)),
     ] {
         match std::fs::write(name, data) {
             Ok(()) => println!("wrote {name}"),

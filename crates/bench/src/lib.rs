@@ -15,6 +15,13 @@
 //!   (what §7.3 called "prohibitively slow"), with a measured-vs-model
 //!   comparison against the block-count proxy.
 //!
+//! Every table is the same grid: one [`Row`] per workload holding a
+//! basic-block baseline and one [`Column`] per configuration, each cell
+//! produced by [`measure`] and the whole table fanned out by [`run`]. The
+//! table modules supply only their configurations and cell formatting;
+//! [`render::render_rows`] and [`csv::write_rows`] own the layout rules
+//! shared by every table.
+//!
 //! Binaries `table1`/`table2`/`table3`/`fig7`/`whole_program`/`summary`
 //! print the tables; `bench_perf` measures compile-time and simulator
 //! throughput.
@@ -34,94 +41,198 @@ pub mod whole_program;
 // path.
 pub use chf_service::parallel;
 
-use chf_core::pipeline::{try_compile, CompileConfig};
-use chf_sim::functional::{run, FuncResult, RunConfig};
-use chf_sim::timing::{simulate_timing, TimingConfig, TimingResult};
+use chf_core::pipeline::{try_compile, CompileConfig, PhaseOrdering};
+use chf_core::FormationStats;
+use chf_sim::functional::{run_lowered, RunConfig};
+use chf_sim::timing::{simulate_timing_lowered, TimingConfig};
+use chf_sim::LoweredProgram;
 use chf_workloads::Workload;
 
-/// Compile `w` under `config` and run the timing simulator, checking that
+/// Which simulators [`measure`] runs on the compiled code.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Sim {
+    /// The cycle-level timing simulator (Tables 1 and 2).
+    Timing,
+    /// The functional simulator: dynamic block counts only (Table 3).
+    Functional,
+    /// Both, over one lowered program, with their behaviour digests
+    /// cross-checked (whole-program simulation).
+    Both,
+}
+
+/// One compile-and-simulate measurement of a workload.
+#[derive(Clone, Debug, Default)]
+pub struct Measure {
+    /// Timing-simulator cycles (`0` under [`Sim::Functional`]).
+    pub cycles: u64,
+    /// Dynamic block executions (the functional simulator's count when it
+    /// ran).
+    pub blocks: u64,
+    /// Instructions executed under the timing simulator (`0` under
+    /// [`Sim::Functional`]).
+    pub insts: u64,
+    /// Next-block misprediction rate (`0` under [`Sim::Functional`]).
+    pub mispredict_rate: f64,
+    /// Static formation counts of the compiled code.
+    pub stats: FormationStats,
+}
+
+/// Compile `w` under `config`, run the `sim` simulators and check that
 /// observable behaviour is preserved. Every failure mode — compilation
 /// error, simulation error, or a behaviour change — is reported as `Err`
 /// with a message naming the workload; nothing on this path panics, so the
 /// parallel harness can degrade a bad workload to a marked table row.
 ///
 /// # Errors
-/// A descriptive message when compilation fails, simulation fails, or the
-/// compiled code's return value differs from the workload's expectation.
-pub fn try_compile_and_time(
-    w: &Workload,
-    config: &CompileConfig,
-) -> Result<(TimingResult, chf_core::FormationStats), String> {
+/// A descriptive message when compilation fails, simulation fails, the
+/// compiled code's return value differs from `w.expected`, or (under
+/// [`Sim::Both`]) the two simulators' digests disagree.
+pub fn measure(w: &Workload, config: &CompileConfig, sim: Sim) -> Result<Measure, String> {
     let compiled = try_compile(&w.function, &w.profile, config)
         .map_err(|e| format!("{}: compilation failed: {e}", w.name))?;
-    let t = simulate_timing(
-        &compiled.function,
-        &w.args,
-        &w.memory,
-        &TimingConfig::trips(),
-    )
-    .map_err(|e| format!("{}: timing simulation failed: {e}", w.name))?;
-    if t.ret != Some(w.expected) {
-        return Err(format!(
-            "{}: compiled code returned {:?}, expected {}",
-            w.name, t.ret, w.expected
-        ));
+    let lowered = LoweredProgram::lower(&compiled.function);
+    let run_cfg = RunConfig {
+        collect_trip_counts: false,
+        ..RunConfig::default()
+    };
+    let func = (sim != Sim::Timing)
+        .then(|| run_lowered(&lowered, &w.args, &w.memory, &run_cfg))
+        .transpose()
+        .map_err(|e| format!("{}: functional simulation failed: {e}", w.name))?;
+    let timing = (sim != Sim::Functional)
+        .then(|| simulate_timing_lowered(&lowered, &w.args, &w.memory, &TimingConfig::trips()))
+        .transpose()
+        .map_err(|e| format!("{}: timing simulation failed: {e}", w.name))?;
+    match (&func, &timing) {
+        (Some(f), Some(t)) if t.ret != Some(w.expected) || f.digest() != t.digest() => {
+            return Err(format!(
+                "{}: simulators disagree (functional {:?}, timing {:?}, expected {})",
+                w.name, f.ret, t.ret, w.expected
+            ));
+        }
+        (Some(f), None) => check_ret(w, f.ret)?,
+        (None, Some(t)) => check_ret(w, t.ret)?,
+        _ => {}
     }
-    Ok((t, compiled.stats))
+    Ok(Measure {
+        cycles: timing.as_ref().map_or(0, |t| t.cycles),
+        blocks: match (&func, &timing) {
+            (Some(f), _) => f.blocks_executed,
+            (None, t) => t.as_ref().map_or(0, |t| t.blocks_executed),
+        },
+        insts: timing.as_ref().map_or(0, |t| t.insts_executed),
+        mispredict_rate: timing.as_ref().map_or(0.0, |t| t.misprediction_rate()),
+        stats: compiled.stats,
+    })
 }
 
-/// Compile `w` under `config` and run the timing simulator, checking that
-/// observable behaviour is preserved.
-///
-/// # Panics
-/// Panics if compilation changes the program's observable behaviour — the
-/// harness refuses to report numbers from a miscompiled benchmark. Harness
-/// code that must degrade gracefully uses [`try_compile_and_time`].
-pub fn compile_and_time(
-    w: &Workload,
-    config: &CompileConfig,
-) -> (TimingResult, chf_core::FormationStats) {
-    try_compile_and_time(w, config).unwrap_or_else(|e| panic!("{e}"))
+/// `Ok` when `ret` is the workload's expected return value.
+fn check_ret(w: &Workload, ret: Option<i64>) -> Result<(), String> {
+    if ret == Some(w.expected) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{}: compiled code returned {ret:?}, expected {}",
+            w.name, w.expected
+        ))
+    }
 }
 
-/// Compile `w` under `config` and run the functional simulator (block
-/// counts), checking behaviour. Fallible counterpart of
-/// [`compile_and_count`], mirroring [`try_compile_and_time`].
+/// One configuration's cell of a [`Row`].
+#[derive(Clone, Debug)]
+pub struct Column {
+    /// Configuration label (`UPIO`, `HF`, …; for the budget ablation's
+    /// portfolio column, the winning entrant such as `HF@16`).
+    pub label: String,
+    /// The configuration's measurement.
+    pub measure: Measure,
+    /// Percent improvement over the row's baseline: in cycles when the
+    /// timing simulator ran, in dynamic blocks otherwise.
+    pub improvement: f64,
+}
+
+/// One workload's line of an evaluation table.
+#[derive(Clone, Debug)]
+pub struct Row {
+    /// Workload name.
+    pub name: String,
+    /// The basic-block baseline every column is compared against.
+    pub baseline: Measure,
+    /// One cell per configuration, in the table's column order.
+    pub columns: Vec<Column>,
+    /// Why this workload produced no numbers: a compile/simulate failure
+    /// (or a panic contained by the parallel harness). A poisoned row is
+    /// rendered as a `FAILED:` row and written to CSV with the
+    /// [`csv::POISONED_SENTINEL`], and it is excluded from averages and
+    /// figure fits — it never silently zeroes the statistics.
+    pub error: Option<String>,
+}
+
+impl Row {
+    /// A row marking a workload that failed to produce measurements.
+    pub fn poisoned(name: &str, error: String) -> Self {
+        Row {
+            name: name.to_string(),
+            baseline: Measure::default(),
+            columns: Vec::new(),
+            error: Some(error),
+        }
+    }
+}
+
+/// Measure `w` under basic blocks (the baseline) and under each labelled
+/// configuration. Any failure fails the whole row: partial rows would skew
+/// the averages invisibly.
 ///
 /// # Errors
-/// As [`try_compile_and_time`].
-pub fn try_compile_and_count(
+/// The first [`measure`] error.
+pub fn measure_row(
     w: &Workload,
-    config: &CompileConfig,
-) -> Result<(FuncResult, chf_core::FormationStats), String> {
-    let compiled = try_compile(&w.function, &w.profile, config)
-        .map_err(|e| format!("{}: compilation failed: {e}", w.name))?;
-    let r = run(
-        &compiled.function,
-        &w.args,
-        &w.memory,
-        &RunConfig::default(),
-    )
-    .map_err(|e| format!("{}: functional simulation failed: {e}", w.name))?;
-    if r.ret != Some(w.expected) {
-        return Err(format!(
-            "{}: compiled code returned {:?}, expected {}",
-            w.name, r.ret, w.expected
-        ));
+    sim: Sim,
+    configs: &[(&str, CompileConfig)],
+) -> Result<Row, String> {
+    let bb = CompileConfig::with_ordering(PhaseOrdering::BasicBlocks);
+    let baseline = measure(w, &bb, sim)?;
+    let score = |m: &Measure| match sim {
+        Sim::Functional => m.blocks,
+        Sim::Timing | Sim::Both => m.cycles,
+    };
+    let mut columns = Vec::with_capacity(configs.len());
+    for (label, config) in configs {
+        let m = measure(w, config, sim)?;
+        columns.push(Column {
+            label: (*label).to_string(),
+            improvement: percent_improvement(score(&baseline), score(&m)),
+            measure: m,
+        });
     }
-    Ok((r, compiled.stats))
+    Ok(Row {
+        name: w.name.clone(),
+        baseline,
+        columns,
+        error: None,
+    })
 }
 
-/// Compile `w` under `config` and run the functional simulator (block
-/// counts), checking behaviour.
+/// Measure every workload of `suite` with `measure_row`, fanned across
+/// `workers` threads of the [`parallel`] harness (`1` forces the sequential
+/// path). Rows come back in suite order whatever the worker count.
 ///
-/// # Panics
-/// Panics on miscompilation, as [`compile_and_time`].
-pub fn compile_and_count(
-    w: &Workload,
-    config: &CompileConfig,
-) -> (FuncResult, chf_core::FormationStats) {
-    try_compile_and_count(w, config).unwrap_or_else(|e| panic!("{e}"))
+/// Jobs run under the harness's panic isolation: a workload whose
+/// measurement fails, or panics twice (one retry), degrades to a
+/// [`Row::poisoned`] row rather than killing the table.
+pub fn run<F>(suite: &[Workload], workers: usize, measure_row: F) -> Vec<Row>
+where
+    F: Fn(&Workload) -> Result<Row, String> + Sync,
+{
+    parallel::par_map_isolated(suite, workers, measure_row)
+        .into_iter()
+        .zip(suite)
+        .map(|(res, w)| {
+            res.and_then(|row| row)
+                .unwrap_or_else(|e| Row::poisoned(&w.name, e))
+        })
+        .collect()
 }
 
 /// Percent improvement of `new` over `base` (positive = faster/fewer).
@@ -144,17 +255,63 @@ mod tests {
     }
 
     #[test]
-    fn compile_and_time_validates_behaviour() {
-        let w = chf_workloads::micro::vadd();
-        let (t, _) = compile_and_time(&w, &CompileConfig::convergent());
-        assert!(t.cycles > 0);
+    fn measure_validates_behaviour_under_every_simulator() {
+        let w = chf_workloads::micro::sieve();
+        let config = CompileConfig::convergent();
+        let t = measure(&w, &config, Sim::Timing).unwrap();
+        let f = measure(&w, &config, Sim::Functional).unwrap();
+        let b = measure(&w, &config, Sim::Both).unwrap();
+        assert!(t.cycles > 0 && t.stats.merges > 0);
+        assert!(f.blocks > 0 && f.cycles == 0);
+        assert_eq!((b.cycles, b.blocks), (t.cycles, f.blocks));
     }
 
+    /// The acceptance scenario: a deliberately broken workload (wrong
+    /// expected return value) degrades to a marked row — it shows up as
+    /// `FAILED` in the rendered table, as a `POISONED` sentinel in the CSV,
+    /// and contributes no Figure 7 points — while healthy rows around it
+    /// keep their numbers. Checked on both simulator paths.
     #[test]
-    fn compile_and_count_validates_behaviour() {
-        let w = chf_workloads::micro::sieve();
-        let (r, stats) = compile_and_count(&w, &CompileConfig::convergent());
-        assert!(r.blocks_executed > 0);
-        assert!(stats.merges > 0);
+    fn poisoned_workload_yields_marked_row() {
+        let healthy = chf_workloads::micro::vadd();
+        let mut bad = chf_workloads::micro::vadd();
+        bad.name = "vadd_sabotaged".into();
+        bad.expected += 1; // behaviour check must fail
+        let configs = table1::configurations();
+        for sim in [Sim::Timing, Sim::Functional] {
+            let suite = [healthy.clone(), bad.clone()];
+            let rows = run(&suite, 1, |w| measure_row(w, sim, &configs));
+
+            assert!(rows[0].error.is_none(), "{sim:?}");
+            let err = rows[1].error.as_ref().expect("sabotaged row is poisoned");
+            assert!(
+                err.contains("vadd_sabotaged"),
+                "{sim:?}: error names the workload: {err}"
+            );
+
+            let text = table1::render(&rows);
+            assert!(
+                text.contains("FAILED"),
+                "table marks the poisoned row:\n{text}"
+            );
+            assert!(
+                text.contains("Average"),
+                "healthy rows still average:\n{text}"
+            );
+
+            let csv = table1::csv(&rows);
+            let poisoned_line = csv
+                .lines()
+                .find(|l| l.starts_with("vadd_sabotaged"))
+                .expect("poisoned row present in CSV");
+            assert!(
+                poisoned_line.contains(csv::POISONED_SENTINEL),
+                "CSV uses the sentinel: {poisoned_line}"
+            );
+
+            // Figure 7 must draw its regression from the healthy row only.
+            let pts = fig7::points(&rows);
+            assert_eq!(pts.len(), rows[0].columns.len());
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! Plain-text table rendering shared by the experiment binaries.
 
+use crate::Row;
+
 /// Render a table: a header row plus data rows, columns padded to fit.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let cols = header.len();
@@ -34,6 +36,38 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Render evaluation rows under `header`. A healthy row prints its name and
+/// then `cells(row)`; a poisoned row prints `FAILED: <why>` in place of its
+/// numbers. With `average`, an `Average` row follows when any row is
+/// healthy: a blank baseline cell, then `average(mean)` for each column's
+/// mean improvement over the healthy rows only.
+pub fn render_rows(
+    header: &[String],
+    rows: &[Row],
+    cells: impl Fn(&Row) -> Vec<String>,
+    average: Option<fn(f64) -> Vec<String>>,
+) -> String {
+    let mut body = Vec::new();
+    for r in rows {
+        let mut line = vec![r.name.clone()];
+        match &r.error {
+            Some(err) => line.push(format!("FAILED: {err}")),
+            None => line.extend(cells(r)),
+        }
+        body.push(line);
+    }
+    let healthy: Vec<&Row> = rows.iter().filter(|r| r.error.is_none()).collect();
+    if let (Some(average), Some(first)) = (average, healthy.first()) {
+        let mut line = vec!["Average".to_string(), String::new()];
+        for k in 0..first.columns.len() {
+            let sum: f64 = healthy.iter().map(|r| r.columns[k].improvement).sum();
+            line.extend(average(sum / healthy.len() as f64));
+        }
+        body.push(line);
+    }
+    render_table(header, &body)
 }
 
 /// Format a percentage with one decimal, like the paper's tables.

@@ -7,11 +7,11 @@
 //! constrained per-function trial budget on the SPEC-like composites,
 //! measuring where each policy spends a fixed formation-effort ledger.
 
-use crate::render::{pct, render_table};
-use crate::{percent_improvement, try_compile_and_count, try_compile_and_time};
-use chf_core::pipeline::{CompileConfig, PhaseOrdering};
+use crate::render::{pct, render_rows};
+use crate::{csv, measure_row, percent_improvement, Column, Measure, Row, Sim};
+use chf_core::pipeline::CompileConfig;
 use chf_core::tournament::{run_tournament, TournamentConfig};
-use chf_core::{FormationStats, PolicyKind};
+use chf_core::PolicyKind;
 use chf_workloads::{microbenchmarks, spec_suite, Workload};
 
 /// The five heuristic configurations of Table 2, in column order (the
@@ -58,59 +58,12 @@ pub fn budget_configurations(budget: usize) -> Vec<(&'static str, CompileConfig)
     .collect()
 }
 
-/// One benchmark's measurements.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline cycles.
-    pub bb_cycles: u64,
-    /// `(label, cycles, improvement %, misprediction rate, formation
-    /// stats)` per heuristic. The stats carry the block-utilization
-    /// permilles alongside the `m/t/u/p` ledger.
-    pub results: Vec<(&'static str, u64, f64, f64, FormationStats)>,
-    /// Failure marker: see [`crate::table1::Row::error`].
-    pub error: Option<String>,
-}
-
-impl Row {
-    /// A row marking a workload that failed to produce measurements.
-    pub fn poisoned(name: String, error: String) -> Self {
-        Row {
-            name,
-            bb_cycles: 0,
-            results: Vec::new(),
-            error: Some(error),
-        }
-    }
-}
-
-/// Measure one workload under every heuristic; any failure poisons the row.
-pub fn measure(w: &Workload) -> Row {
-    let bb =
-        match try_compile_and_time(w, &CompileConfig::with_ordering(PhaseOrdering::BasicBlocks)) {
-            Ok((t, _)) => t,
-            Err(e) => return Row::poisoned(w.name.clone(), e),
-        };
-    let mut results = Vec::new();
-    for (label, config) in configurations() {
-        match try_compile_and_time(w, &config) {
-            Ok((t, stats)) => results.push((
-                label,
-                t.cycles,
-                percent_improvement(bb.cycles, t.cycles),
-                t.misprediction_rate(),
-                stats,
-            )),
-            Err(e) => return Row::poisoned(w.name.clone(), e),
-        }
-    }
-    Row {
-        name: w.name.clone(),
-        bb_cycles: bb.cycles,
-        results,
-        error: None,
-    }
+/// Measure one workload under every heuristic on the timing simulator.
+///
+/// # Errors
+/// See [`measure_row`].
+pub fn measure(w: &Workload) -> Result<Row, String> {
+    measure_row(w, Sim::Timing, &configurations())
 }
 
 /// Run the full Table 2 experiment (parallel across benchmarks, results in
@@ -120,64 +73,8 @@ pub fn run() -> Vec<Row> {
 }
 
 /// [`run`] with an explicit worker count (`1` forces the sequential path).
-/// Panic-isolated: see [`crate::table1::run_with`].
 pub fn run_with(workers: usize) -> Vec<Row> {
-    let suite = microbenchmarks();
-    crate::parallel::par_map_isolated(&suite, workers, measure)
-        .into_iter()
-        .zip(&suite)
-        .map(|(res, w)| res.unwrap_or_else(|msg| Row::poisoned(w.name.clone(), msg)))
-        .collect()
-}
-
-/// The portfolio ("oracle") column of the budget ablation: the winner of a
-/// per-function policy tournament over the same three policies at both the
-/// constrained budget and unbounded — what an adaptive compiler that tries
-/// every entrant would pick.
-#[derive(Clone, Debug)]
-pub struct PortfolioCol {
-    /// Winning entrant's label (`HF@16`, `BF@unb`, …).
-    pub winner: String,
-    /// Winner's dynamic block count.
-    pub blocks: u64,
-    /// Winner's percent improvement over basic blocks.
-    pub improvement: f64,
-    /// Winner's formation stats (`tournament_entrants` records the
-    /// portfolio size).
-    pub stats: FormationStats,
-}
-
-/// One composite's measurements under the constrained trial budget.
-#[derive(Clone, Debug)]
-pub struct BudgetRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline dynamic block count (basic blocks, unbudgeted — the
-    /// baseline performs no formation, so no trials are spent).
-    pub bb_blocks: u64,
-    /// `(label, blocks, improvement %, formation stats)` per policy. The
-    /// stats carry the ledger: trials spent and candidates skipped when
-    /// the budget ran out.
-    pub results: Vec<(&'static str, u64, f64, FormationStats)>,
-    /// The tournament winner over the portfolio
-    /// `{BF, HF, DF} × {budget, unbounded}` — structurally never worse
-    /// than any fixed-policy column. `None` only on poisoned rows.
-    pub portfolio: Option<PortfolioCol>,
-    /// Failure marker: see [`crate::table1::Row::error`].
-    pub error: Option<String>,
-}
-
-impl BudgetRow {
-    /// A row marking a composite that failed to produce measurements.
-    pub fn poisoned(name: String, error: String) -> Self {
-        BudgetRow {
-            name,
-            bb_blocks: 0,
-            results: Vec::new(),
-            portfolio: None,
-            error: Some(error),
-        }
-    }
+    crate::run(&microbenchmarks(), workers, measure)
 }
 
 /// The tournament portfolio of the budget ablation: the three ablation
@@ -198,158 +95,151 @@ pub fn portfolio_config(budget: usize) -> TournamentConfig {
     }
 }
 
-/// Measure one composite under every budgeted policy; any failure poisons
-/// the row. Uses the functional simulator (dynamic block counts), like
-/// Table 3 — the ablation asks *where* the ledger was spent, and block
-/// counts are the cheapest faithful proxy.
-pub fn measure_budget(w: &Workload, budget: usize) -> BudgetRow {
-    let bb =
-        match try_compile_and_count(w, &CompileConfig::with_ordering(PhaseOrdering::BasicBlocks)) {
-            Ok((r, _)) => r,
-            Err(e) => return BudgetRow::poisoned(w.name.clone(), e),
-        };
-    let mut results = Vec::new();
-    for (label, config) in budget_configurations(budget) {
-        match try_compile_and_count(w, &config) {
-            Ok((r, stats)) => results.push((
-                label,
-                r.blocks_executed,
-                percent_improvement(bb.blocks_executed, r.blocks_executed),
-                stats,
-            )),
-            Err(e) => return BudgetRow::poisoned(w.name.clone(), e),
-        }
-    }
-    let portfolio = match run_tournament(
+/// Measure one composite under every budgeted policy, then add the
+/// portfolio ("oracle") column: the winner of a per-function tournament
+/// over [`portfolio_config`] — what an adaptive compiler that tries every
+/// entrant would pick. Its label is the winning entrant (`HF@16`,
+/// `BF@unb`, …) and its stats record the portfolio size in
+/// `tournament_entrants`. Uses the functional simulator (dynamic block
+/// counts), like Table 3 — the ablation asks *where* the ledger was spent,
+/// and block counts are the cheapest faithful proxy.
+///
+/// # Errors
+/// See [`measure_row`]; also a failed tournament.
+pub fn measure_budget(w: &Workload, budget: usize) -> Result<Row, String> {
+    let mut row = measure_row(w, Sim::Functional, &budget_configurations(budget))?;
+    let t = run_tournament(
         &w.function,
         &w.profile,
         &w.args,
         &w.memory,
         &portfolio_config(budget),
-    ) {
-        Ok(t) => PortfolioCol {
-            winner: t.label.clone(),
+    )
+    .map_err(|e| format!("{}: {e}", w.name))?;
+    row.columns.push(Column {
+        label: t.label,
+        improvement: percent_improvement(row.baseline.blocks, t.score),
+        measure: Measure {
             blocks: t.score,
-            improvement: percent_improvement(bb.blocks_executed, t.score),
             stats: t.compiled.stats,
+            ..Measure::default()
         },
-        Err(e) => return BudgetRow::poisoned(w.name.clone(), format!("{}: {e}", w.name)),
-    };
-    BudgetRow {
-        name: w.name.clone(),
-        bb_blocks: bb.blocks_executed,
-        results,
-        portfolio: Some(portfolio),
-        error: None,
-    }
+    });
+    Ok(row)
 }
 
 /// Run the budget ablation at [`DEFAULT_TRIAL_BUDGET`] over the SPEC-like
 /// composites (parallel, results in deterministic suite order).
-pub fn run_budget() -> Vec<BudgetRow> {
+pub fn run_budget() -> Vec<Row> {
     run_budget_with(crate::parallel::workers(), DEFAULT_TRIAL_BUDGET)
 }
 
-/// [`run_budget`] with an explicit worker count and budget. Panic-isolated:
-/// see [`crate::table1::run_with`].
-pub fn run_budget_with(workers: usize, budget: usize) -> Vec<BudgetRow> {
-    let suite = spec_suite();
-    crate::parallel::par_map_isolated(&suite, workers, |w| measure_budget(w, budget))
-        .into_iter()
-        .zip(&suite)
-        .map(|(res, w)| res.unwrap_or_else(|msg| BudgetRow::poisoned(w.name.clone(), msg)))
-        .collect()
-}
-
-/// Render the budget ablation: per-policy improvement plus the trial
-/// ledger (`spent/skipped`), and the portfolio (tournament-winner) column.
-pub fn render_budget(rows: &[BudgetRow], budget: usize) -> String {
-    let mut header: Vec<String> = vec!["benchmark".into(), "BB blocks".into()];
-    let healthy: Vec<&BudgetRow> = rows.iter().filter(|r| r.error.is_none()).collect();
-    if let Some(first) = healthy.first() {
-        for (label, ..) in &first.results {
-            header.push(format!("{label}@{budget}"));
-            header.push(format!("{label} ledger"));
-        }
-        header.push("portfolio".into());
-        header.push("winner".into());
-    }
-    let mut body = Vec::new();
-    for r in rows {
-        if let Some(err) = &r.error {
-            body.push(vec![r.name.clone(), format!("FAILED: {err}")]);
-            continue;
-        }
-        let mut row = vec![r.name.clone(), r.bb_blocks.to_string()];
-        for (_, _, improvement, stats) in &r.results {
-            row.push(pct(*improvement));
-            row.push(stats.ledger());
-        }
-        if let Some(p) = &r.portfolio {
-            row.push(pct(p.improvement));
-            row.push(p.winner.clone());
-        }
-        body.push(row);
-    }
-    if let Some(first) = healthy.first() {
-        let mut avg = vec!["Average".to_string(), String::new()];
-        let n = first.results.len();
-        for k in 0..n {
-            let mean: f64 =
-                healthy.iter().map(|r| r.results[k].2).sum::<f64>() / healthy.len() as f64;
-            avg.push(pct(mean));
-            avg.push(String::new());
-        }
-        let port_mean: f64 = healthy
-            .iter()
-            .filter_map(|r| r.portfolio.as_ref())
-            .map(|p| p.improvement)
-            .sum::<f64>()
-            / healthy.len() as f64;
-        avg.push(pct(port_mean));
-        avg.push(String::new());
-        body.push(avg);
-    }
-    render_table(&header, &body)
+/// [`run_budget`] with an explicit worker count and budget.
+pub fn run_budget_with(workers: usize, budget: usize) -> Vec<Row> {
+    crate::run(&spec_suite(), workers, |w| measure_budget(w, budget))
 }
 
 /// Render in the paper's format.
 pub fn render(rows: &[Row]) -> String {
-    let mut header: Vec<String> = vec!["benchmark".into(), "BB cycles".into()];
-    let healthy: Vec<&Row> = rows.iter().filter(|r| r.error.is_none()).collect();
-    if let Some(first) = healthy.first() {
-        for (label, ..) in &first.results {
-            header.push((*label).to_string());
+    let mut header = vec!["benchmark".to_string(), "BB cycles".to_string()];
+    header.extend(configurations().iter().map(|(label, _)| label.to_string()));
+    let cells = |r: &Row| {
+        let mut cells = vec![r.baseline.cycles.to_string()];
+        cells.extend(r.columns.iter().map(|c| pct(c.improvement)));
+        cells
+    };
+    render_rows(&header, rows, cells, Some(|mean| vec![pct(mean)]))
+}
+
+/// Table 2 rows as CSV (see [`csv::write_rows`]).
+pub fn csv(rows: &[Row]) -> String {
+    let labels = configurations().into_iter().map(|(label, _)| label);
+    let fields = ["cycles", "improvement", "mispredict_rate", "util"];
+    let header = format!("benchmark,bb_cycles{}", csv::columns(labels, &fields));
+    csv::write_rows(&header, rows, |r| {
+        let mut cells = vec![r.baseline.cycles.to_string()];
+        for c in &r.columns {
+            cells.extend([
+                c.measure.cycles.to_string(),
+                format!("{:.2}", c.improvement),
+                format!("{:.4}", c.measure.mispredict_rate),
+                c.measure.stats.utilization(),
+            ]);
         }
+        cells
+    })
+}
+
+/// Render the budget ablation: per-policy improvement plus the trial
+/// ledger (`spent/skipped`), and the portfolio column with its winner.
+pub fn render_budget(rows: &[Row], budget: usize) -> String {
+    let mut header = vec!["benchmark".to_string(), "BB blocks".to_string()];
+    for (label, _) in budget_configurations(budget) {
+        header.push(format!("{label}@{budget}"));
+        header.push(format!("{label} ledger"));
     }
-    let mut body = Vec::new();
-    for r in rows {
-        if let Some(err) = &r.error {
-            body.push(vec![r.name.clone(), format!("FAILED: {err}")]);
-            continue;
+    header.push("portfolio".into());
+    header.push("winner".into());
+    let cells = |r: &Row| {
+        let mut cells = vec![r.baseline.blocks.to_string()];
+        let (portfolio, fixed) = r.columns.split_last().expect("portfolio column");
+        for c in fixed {
+            cells.push(pct(c.improvement));
+            cells.push(c.measure.stats.ledger());
         }
-        let mut row = vec![r.name.clone(), r.bb_cycles.to_string()];
-        for (_, _, improvement, _, _) in &r.results {
-            row.push(pct(*improvement));
+        cells.push(pct(portfolio.improvement));
+        cells.push(portfolio.label.clone());
+        cells
+    };
+    render_rows(
+        &header,
+        rows,
+        cells,
+        Some(|mean| vec![pct(mean), String::new()]),
+    )
+}
+
+/// Budget-ablation rows as CSV: per policy, the dynamic block count, the
+/// improvement over basic blocks, and the trial ledger (trials spent,
+/// candidates skipped for budget, and the full `m/t/u/p` string); then the
+/// portfolio winner's blocks, improvement, label and portfolio size.
+pub fn budget_csv(rows: &[Row]) -> String {
+    let labels = budget_configurations(DEFAULT_TRIAL_BUDGET)
+        .into_iter()
+        .map(|(label, _)| label);
+    let fields = ["blocks", "improvement", "trials", "skipped", "mtup"];
+    let header = format!(
+        "benchmark,bb_blocks{},portfolio_blocks,portfolio_improvement,portfolio_winner,\
+         portfolio_entrants",
+        csv::columns(labels, &fields)
+    );
+    csv::write_rows(&header, rows, |r| {
+        let mut cells = vec![r.baseline.blocks.to_string()];
+        let (portfolio, fixed) = r.columns.split_last().expect("portfolio column");
+        for c in fixed {
+            let stats = &c.measure.stats;
+            cells.extend([
+                c.measure.blocks.to_string(),
+                format!("{:.2}", c.improvement),
+                stats.trials.to_string(),
+                stats.budget_skipped.to_string(),
+                stats.mtup(),
+            ]);
         }
-        body.push(row);
-    }
-    if let Some(first) = healthy.first() {
-        let mut avg = vec!["Average".to_string(), String::new()];
-        let n = first.results.len();
-        for k in 0..n {
-            let mean: f64 =
-                healthy.iter().map(|r| r.results[k].2).sum::<f64>() / healthy.len() as f64;
-            avg.push(pct(mean));
-        }
-        body.push(avg);
-    }
-    render_table(&header, &body)
+        cells.extend([
+            portfolio.measure.blocks.to_string(),
+            format!("{:.2}", portfolio.improvement),
+            portfolio.label.clone(),
+            portfolio.measure.stats.tournament_entrants.to_string(),
+        ]);
+        cells
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chf_core::pipeline::PhaseOrdering;
 
     #[test]
     fn five_configurations() {
@@ -363,8 +253,8 @@ mod tests {
     #[test]
     fn measure_reports_all_heuristics() {
         let w = chf_workloads::micro::bzip2_1();
-        let row = measure(&w);
-        assert_eq!(row.results.len(), 5);
+        let row = measure(&w).unwrap();
+        assert_eq!(row.columns.len(), 5);
     }
 
     #[test]
@@ -384,22 +274,24 @@ mod tests {
     fn measure_budget_records_ledger() {
         let suite = spec_suite();
         let w = suite.iter().find(|w| w.name == "gzip").unwrap();
-        let row = measure_budget(w, 4);
-        assert!(row.error.is_none(), "{:?}", row.error);
-        assert_eq!(row.results.len(), 3);
-        for (label, _, _, stats) in &row.results {
+        let row = measure_budget(w, 4).unwrap();
+        let (portfolio, fixed) = row.columns.split_last().unwrap();
+        assert_eq!(fixed.len(), 3);
+        assert_eq!(portfolio.measure.stats.tournament_entrants, 6);
+        for c in fixed {
             // Composites are single functions and `(IUPO)` invokes
             // formation once, so the per-function cap is a hard cap.
             assert!(
-                stats.trials <= 4,
-                "{label}: trials {} exceed the cap",
-                stats.trials
+                c.measure.stats.trials <= 4,
+                "{}: trials {} exceed the cap",
+                c.label,
+                c.measure.stats.trials
             );
         }
         // A budget of 4 trials must actually constrain gzip's formation:
         // at least one policy should have skipped candidates.
         assert!(
-            row.results.iter().any(|(_, _, _, s)| s.budget_skipped > 0),
+            fixed.iter().any(|c| c.measure.stats.budget_skipped > 0),
             "budget 4 did not constrain gzip"
         );
     }

@@ -3,61 +3,17 @@
 //! simulator (cycle-level simulation of whole SPEC programs being
 //! "prohibitively slow", paper §7.3).
 
-use crate::render::{pct, render_table};
-use crate::{percent_improvement, try_compile_and_count};
-use chf_core::pipeline::{CompileConfig, PhaseOrdering};
+use crate::render::{pct, render_rows};
+use crate::{csv, measure_row, table1, Row, Sim};
 use chf_workloads::{spec_suite, Workload};
 
-/// One composite's measurements.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline dynamic block count (basic blocks).
-    pub bb_blocks: u64,
-    /// `(label, blocks, improvement %)` per ordering.
-    pub results: Vec<(&'static str, u64, f64)>,
-    /// Failure marker: see [`crate::table1::Row::error`].
-    pub error: Option<String>,
-}
-
-impl Row {
-    /// A row marking a composite that failed to produce measurements.
-    pub fn poisoned(name: String, error: String) -> Self {
-        Row {
-            name,
-            bb_blocks: 0,
-            results: Vec::new(),
-            error: Some(error),
-        }
-    }
-}
-
-/// Measure one composite across BB + the four orderings; any failure
-/// poisons the row.
-pub fn measure(w: &Workload) -> Row {
-    let bb =
-        match try_compile_and_count(w, &CompileConfig::with_ordering(PhaseOrdering::BasicBlocks)) {
-            Ok((r, _)) => r,
-            Err(e) => return Row::poisoned(w.name.clone(), e),
-        };
-    let mut results = Vec::new();
-    for ordering in PhaseOrdering::table1() {
-        match try_compile_and_count(w, &CompileConfig::with_ordering(ordering)) {
-            Ok((r, _)) => results.push((
-                ordering.label(),
-                r.blocks_executed,
-                percent_improvement(bb.blocks_executed, r.blocks_executed),
-            )),
-            Err(e) => return Row::poisoned(w.name.clone(), e),
-        }
-    }
-    Row {
-        name: w.name.clone(),
-        bb_blocks: bb.blocks_executed,
-        results,
-        error: None,
-    }
+/// Measure one composite across BB + the four orderings (Table 1's
+/// columns) on the functional simulator.
+///
+/// # Errors
+/// See [`measure_row`].
+pub fn measure(w: &Workload) -> Result<Row, String> {
+    measure_row(w, Sim::Functional, &table1::configurations())
 }
 
 /// Run the full Table 3 experiment (parallel across composites, results in
@@ -67,48 +23,41 @@ pub fn run() -> Vec<Row> {
 }
 
 /// [`run`] with an explicit worker count (`1` forces the sequential path).
-/// Panic-isolated: see [`crate::table1::run_with`].
 pub fn run_with(workers: usize) -> Vec<Row> {
-    let suite = spec_suite();
-    crate::parallel::par_map_isolated(&suite, workers, measure)
-        .into_iter()
-        .zip(&suite)
-        .map(|(res, w)| res.unwrap_or_else(|msg| Row::poisoned(w.name.clone(), msg)))
-        .collect()
+    crate::run(&spec_suite(), workers, measure)
 }
 
 /// Render in the paper's format (`BB` in raw block counts, then percents).
 pub fn render(rows: &[Row]) -> String {
-    let mut header: Vec<String> = vec!["benchmark".into(), "BB blocks".into()];
-    let healthy: Vec<&Row> = rows.iter().filter(|r| r.error.is_none()).collect();
-    if let Some(first) = healthy.first() {
-        for (label, ..) in &first.results {
-            header.push((*label).to_string());
+    let mut header = vec!["benchmark".to_string(), "BB blocks".to_string()];
+    header.extend(
+        table1::configurations()
+            .iter()
+            .map(|(label, _)| label.to_string()),
+    );
+    let cells = |r: &Row| {
+        let mut cells = vec![r.baseline.blocks.to_string()];
+        cells.extend(r.columns.iter().map(|c| pct(c.improvement)));
+        cells
+    };
+    render_rows(&header, rows, cells, Some(|mean| vec![pct(mean)]))
+}
+
+/// Table 3 rows as CSV (see [`csv::write_rows`]).
+pub fn csv(rows: &[Row]) -> String {
+    let labels = table1::configurations().into_iter().map(|(label, _)| label);
+    let header = format!(
+        "benchmark,bb_blocks{}",
+        csv::columns(labels, &["blocks", "improvement"])
+    );
+    csv::write_rows(&header, rows, |r| {
+        let mut cells = vec![r.baseline.blocks.to_string()];
+        for c in &r.columns {
+            cells.push(c.measure.blocks.to_string());
+            cells.push(format!("{:.2}", c.improvement));
         }
-    }
-    let mut body = Vec::new();
-    for r in rows {
-        if let Some(err) = &r.error {
-            body.push(vec![r.name.clone(), format!("FAILED: {err}")]);
-            continue;
-        }
-        let mut row = vec![r.name.clone(), r.bb_blocks.to_string()];
-        for (_, _, improvement) in &r.results {
-            row.push(pct(*improvement));
-        }
-        body.push(row);
-    }
-    if let Some(first) = healthy.first() {
-        let mut avg = vec!["Average".to_string(), String::new()];
-        let n = first.results.len();
-        for k in 0..n {
-            let mean: f64 =
-                healthy.iter().map(|r| r.results[k].2).sum::<f64>() / healthy.len() as f64;
-            avg.push(pct(mean));
-        }
-        body.push(avg);
-    }
-    render_table(&header, &body)
+        cells
+    })
 }
 
 #[cfg(test)]
@@ -119,11 +68,11 @@ mod tests {
     fn measure_one_composite() {
         let suite = spec_suite();
         let w = suite.iter().find(|w| w.name == "gzip").unwrap();
-        let row = measure(w);
-        assert_eq!(row.results.len(), 4);
+        let row = measure(w).unwrap();
+        assert_eq!(row.columns.len(), 4);
         // Hyperblock formation must reduce block counts on gzip.
-        let (_, blocks, improvement) = row.results.last().unwrap();
-        assert!(*blocks < row.bb_blocks);
-        assert!(*improvement > 0.0);
+        let conv = row.columns.last().unwrap();
+        assert!(conv.measure.blocks < row.baseline.blocks);
+        assert!(conv.improvement > 0.0);
     }
 }

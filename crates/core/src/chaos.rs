@@ -27,38 +27,11 @@ use chf_ir::function::Function;
 use chf_ir::ids::{BlockId, Reg};
 use chf_ir::instr::Pred;
 use chf_ir::profile::ProfileData;
-use chf_ir::testgen::{generate, GenConfig};
+use chf_ir::testgen::{generate, GenConfig, SplitMix64};
 use chf_sim::functional::profile_run;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-
-/// SplitMix64 — the same tiny, high-quality generator testgen uses. Kept
-/// private to this crate so fault sequences are stable regardless of what
-/// the rest of the workspace does with its RNGs.
-#[derive(Clone, Debug)]
-pub struct ChaosRng(u64);
-
-impl ChaosRng {
-    /// A generator whose entire output is determined by `seed`.
-    pub fn new(seed: u64) -> Self {
-        ChaosRng(seed)
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish value in `0..n` (`n > 0`).
-    pub fn next_range(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
 
 /// When and from what seed the mid-trial injection point in
 /// [`crate::convergent`] fires: roughly one fault per `period` merge
@@ -149,20 +122,20 @@ fn dangling_target(f: &Function) -> BlockId {
 }
 
 /// Pick a live block of `f` deterministically.
-fn pick_block(f: &Function, rng: &mut ChaosRng) -> BlockId {
+fn pick_block(f: &Function, rng: &mut SplitMix64) -> BlockId {
     let ids: Vec<BlockId> = f.block_ids().collect();
-    ids[rng.next_range(ids.len() as u64) as usize]
+    ids[rng.below(ids.len() as u64) as usize]
 }
 
 /// Apply `kind` to the function/profile pair. [`FaultKind::MidTrial`] is a
 /// no-op here — it is armed through [`FormationConfig::chaos`] instead.
-pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng: &mut ChaosRng) {
+pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng: &mut SplitMix64) {
     match kind {
         FaultKind::DanglingExit => {
             let target = dangling_target(f);
             let b = pick_block(f, rng);
             let blk = f.block_mut(b);
-            let i = rng.next_range(blk.exits.len() as u64) as usize;
+            let i = rng.below(blk.exits.len() as u64) as usize;
             blk.exits[i].target = ExitTarget::Block(target);
         }
         FaultKind::PredicatedDefault => {
@@ -207,7 +180,7 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
         FaultKind::TruncatedEdgeProfile => {
             // Drop roughly half the edge counts, keyed on the seeded stream
             // so the truncation pattern is reproducible.
-            let keep = rng.next_u64();
+            let keep = rng.next();
             let mut i = 0u64;
             profile.exit_counts.retain(|_, _| {
                 i = i.wrapping_add(1);
@@ -223,15 +196,15 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
             keys.sort_unstable();
             if !keys.is_empty() {
                 let mut vals: Vec<u64> = keys.iter().map(|k| profile.exit_counts[k]).collect();
-                let rot = rng.next_range(vals.len() as u64) as usize;
+                let rot = rng.below(vals.len() as u64) as usize;
                 vals.rotate_left(rot);
                 for (k, v) in keys.iter().zip(vals) {
-                    let scale = 1 + rng.next_range(1_000_000);
+                    let scale = 1 + rng.below(1_000_000);
                     profile.exit_counts.insert(*k, v.saturating_mul(scale));
                 }
             }
             for n in profile.block_counts.values_mut() {
-                *n = if rng.next_range(2) == 0 { 0 } else { u64::MAX };
+                *n = if rng.below(2) == 0 { 0 } else { u64::MAX };
             }
         }
         FaultKind::MidTrial => {}
@@ -242,14 +215,14 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
 /// callback armed by [`FormationConfig::chaos`]. Every corruption mutates
 /// only `hb` (which the trial snapshot covers, so rollback stays exact) and
 /// is guaranteed detectable by the plain structural verifier.
-pub fn corrupt_trial_block(f: &mut Function, hb: BlockId, rng: &mut ChaosRng) {
-    let choice = rng.next_range(4);
+pub fn corrupt_trial_block(f: &mut Function, hb: BlockId, rng: &mut SplitMix64) {
+    let choice = rng.below(4);
     let target = dangling_target(f);
     let blk = f.block_mut(hb);
     match choice {
         0 => {
             // Dangling edge.
-            let i = rng.next_range(blk.exits.len().max(1) as u64) as usize;
+            let i = rng.below(blk.exits.len().max(1) as u64) as usize;
             if let Some(e) = blk.exits.get_mut(i) {
                 e.target = ExitTarget::Block(target);
             }
@@ -342,8 +315,6 @@ pub struct CampaignReport {
     /// escaped before its fault kind was drawn is counted only in
     /// [`CampaignReport::aborts`].
     pub by_kind: Vec<KindTally>,
-    /// Reproducers written by the oracle's reducer.
-    pub repros: Vec<PathBuf>,
 }
 
 impl CampaignReport {
@@ -400,7 +371,7 @@ impl CampaignReport {
         format!(
             "{{\"campaign\":\"formation\",\"faults\":{},\"detected\":{},\
              \"rolled_back\":{},\"survived\":{},\"contained\":{},\"aborts\":{},\
-             \"miscompiles\":{},\"repros\":{},\"ok\":{},\"by_kind\":{{{kinds}}}}}",
+             \"miscompiles\":{},\"ok\":{},\"by_kind\":{{{kinds}}}}}",
             self.total,
             self.detected,
             self.rolled_back,
@@ -408,7 +379,6 @@ impl CampaignReport {
             self.detected + self.rolled_back + self.survived,
             self.aborts,
             self.miscompiles,
-            self.repros.len(),
             self.ok()
         )
     }
@@ -437,18 +407,16 @@ fn run_one_fault(
     fault_seed: u64,
     repro_dir: Option<&PathBuf>,
     kind_out: &std::cell::Cell<Option<FaultKind>>,
-) -> Option<(FaultOutcome, Vec<PathBuf>)> {
+) -> Option<FaultOutcome> {
     let dir = repro_dir.cloned();
     catch_unwind(AssertUnwindSafe(move || {
-        let mut rng = ChaosRng::new(fault_seed);
-        let prog_seed = rng.next_u64();
+        let mut rng = SplitMix64::new(fault_seed);
+        let prog_seed = rng.next();
         let mut f = generate(prog_seed, &GenConfig::default());
-        let train: Vec<i64> = (0..f.params)
-            .map(|_| rng.next_range(24) as i64 - 4)
-            .collect();
+        let train: Vec<i64> = (0..f.params).map(|_| rng.below(24) as i64 - 4).collect();
         let mut profile = profile_run(&f, &train, &[]).unwrap_or_default();
 
-        let kind = FaultKind::ALL[rng.next_range(FaultKind::ALL.len() as u64) as usize];
+        let kind = FaultKind::ALL[rng.below(FaultKind::ALL.len() as u64) as usize];
         kind_out.set(Some(kind));
         let oracle_cfg = OracleConfig {
             seed: fault_seed,
@@ -482,7 +450,7 @@ fn run_one_fault(
         // Gate 1: the full verifier. IR corruptions must be refused here —
         // a compiler front end is entitled to reject garbage outright.
         if chf_ir::verify::verify_full(&f).is_err() {
-            return (FaultOutcome::Detected, Vec::new());
+            return FaultOutcome::Detected;
         }
 
         // Gate 2: formation under the safety net.
@@ -491,14 +459,12 @@ fn run_one_fault(
         let stats = form_hyperblocks_with_profile(&mut f, policy.as_mut(), &config, Some(&profile));
 
         // Gate 3: whole-pipeline differential check.
-        let repros: Vec<PathBuf> = Vec::new();
         if oracle::first_mismatch(&orig, &f, &oracle_cfg).is_some() {
-            return (FaultOutcome::Miscompiled, repros);
-        }
-        if stats.skipped > 0 {
-            (FaultOutcome::RolledBack, repros)
+            FaultOutcome::Miscompiled
+        } else if stats.skipped > 0 {
+            FaultOutcome::RolledBack
         } else {
-            (FaultOutcome::Survived, repros)
+            FaultOutcome::Survived
         }
     }))
     .ok()
@@ -508,14 +474,14 @@ fn run_one_fault(
 /// its own `catch_unwind` scope so a single escape cannot kill the
 /// campaign; escapes are tallied as aborts (which fail [`CampaignReport::ok`]).
 pub fn campaign(seed: u64, faults: usize, repro_dir: Option<PathBuf>) -> CampaignReport {
-    let mut master = ChaosRng::new(seed);
+    let mut master = SplitMix64::new(seed);
     let mut report = CampaignReport {
         total: faults,
         by_kind: vec![KindTally::default(); FaultKind::ALL.len()],
         ..CampaignReport::default()
     };
     for _ in 0..faults {
-        let fault_seed = master.next_u64();
+        let fault_seed = master.next();
         let kind_cell = std::cell::Cell::new(None);
         let result = run_one_fault(fault_seed, repro_dir.as_ref(), &kind_cell);
         let tally = kind_cell.get().map(|k| k.index());
@@ -523,7 +489,7 @@ pub fn campaign(seed: u64, faults: usize, repro_dir: Option<PathBuf>) -> Campaig
             report.by_kind[i].injected += 1;
         }
         match result {
-            Some((outcome, mut repros)) => {
+            Some(outcome) => {
                 match outcome {
                     FaultOutcome::Detected => report.detected += 1,
                     FaultOutcome::RolledBack => report.rolled_back += 1,
@@ -539,7 +505,6 @@ pub fn campaign(seed: u64, faults: usize, repro_dir: Option<PathBuf>) -> Campaig
                         FaultOutcome::Miscompiled => t.miscompiles += 1,
                     }
                 }
-                report.repros.append(&mut repros);
             }
             None => {
                 report.aborts += 1;
@@ -557,15 +522,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rng_is_deterministic() {
-        let mut a = ChaosRng::new(42);
-        let mut b = ChaosRng::new(42);
-        for _ in 0..16 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
     fn ir_faults_are_verifier_detectable() {
         for kind in [
             FaultKind::DanglingExit,
@@ -573,7 +529,7 @@ mod tests {
             FaultKind::RegisterOutOfRange,
         ] {
             for seed in 0..8 {
-                let mut rng = ChaosRng::new(seed);
+                let mut rng = SplitMix64::new(seed);
                 let mut f = generate(seed, &GenConfig::default());
                 let mut p = ProfileData::default();
                 inject(&mut f, &mut p, kind, &mut rng);
@@ -593,7 +549,7 @@ mod tests {
             FaultKind::TruncatedEdgeProfile,
             FaultKind::ScrambledEdgeProfile,
         ] {
-            let mut rng = ChaosRng::new(9);
+            let mut rng = SplitMix64::new(9);
             let mut f = generate(9, &GenConfig::default());
             let mut p = profile_run(&f, &[3, 7], &[]).unwrap();
             inject(&mut f, &mut p, kind, &mut rng);
@@ -604,7 +560,7 @@ mod tests {
     #[test]
     fn trial_corruptions_are_always_detected() {
         for seed in 0..32 {
-            let mut rng = ChaosRng::new(seed);
+            let mut rng = SplitMix64::new(seed);
             let mut f = generate(seed % 5, &GenConfig::default());
             let hb = f.entry;
             corrupt_trial_block(&mut f, hb, &mut rng);

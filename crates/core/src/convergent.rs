@@ -20,7 +20,7 @@
 //! rolled-back trial leaves the CFG bit-identical, so the cache stays
 //! valid).
 
-use crate::chaos::{ChaosRng, ChaosSpec};
+use crate::chaos::ChaosSpec;
 use crate::constraints::BlockConstraints;
 use crate::duplication::{classify, duplicate_for_merge, DuplicationKind};
 use crate::error::ChfError;
@@ -32,6 +32,7 @@ use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
 use chf_ir::loops::LoopForest;
 use chf_ir::profile::ProfileData;
+use chf_ir::testgen::SplitMix64;
 
 /// Safety cap on merges per seed block.
 const MAX_MERGES_PER_BLOCK: usize = 64;
@@ -289,7 +290,7 @@ struct FormationCtx {
     /// [`FormationConfig::chaos`]. Lives in the context so a formation run
     /// draws one reproducible fault sequence regardless of how trials are
     /// batched.
-    chaos: Option<ChaosRng>,
+    chaos: Option<SplitMix64>,
     /// Trial-budget ledger: merge trials spent so far in this formation
     /// run. Lives in the context (not per-seed stats) so the cap in
     /// [`FormationConfig::trial_budget`] is a *function-level* budget that
@@ -316,15 +317,15 @@ impl FormationCtx {
     }
 
     /// The fault-injection PRNG, created on first use from the spec's seed.
-    fn chaos_rng(&mut self, spec: ChaosSpec) -> &mut ChaosRng {
-        self.chaos.get_or_insert_with(|| ChaosRng::new(spec.seed))
+    fn chaos_rng(&mut self, spec: ChaosSpec) -> &mut SplitMix64 {
+        self.chaos.get_or_insert_with(|| SplitMix64::new(spec.seed))
     }
 
     /// Whether the next injection point fires: one fault per `spec.period`
     /// trials on average, drawn deterministically from the seeded stream.
     fn chaos_fire(&mut self, spec: ChaosSpec) -> bool {
         let period = u64::from(spec.period.max(1));
-        self.chaos_rng(spec).next_u64().is_multiple_of(period)
+        self.chaos_rng(spec).next().is_multiple_of(period)
     }
 
     /// The loop forest of the current CFG, computed at most once between

@@ -1,6 +1,6 @@
 //! Differential oracle for committed merges.
 //!
-//! The verifier ([`chf_ir::verify`]) catches *structural* damage; it cannot
+//! The verifier ([`chf_ir::verify()`]) catches *structural* damage; it cannot
 //! catch a merge that produces well-formed IR computing the wrong answer
 //! (a mis-predicated speculated instruction, a dropped side effect). The
 //! oracle closes that gap: after each committed merge, the transformed
@@ -24,12 +24,12 @@
 //! comments). Re-running the named merge on the parsed function and
 //! comparing executions reproduces the divergence.
 
-use crate::chaos::ChaosRng;
 use crate::convergent::{merge_blocks, FormationConfig};
 use crate::error::ChfError;
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
+use chf_ir::testgen::SplitMix64;
 use chf_sim::functional::{run, run_lowered, RunConfig};
 use chf_sim::LoweredProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,8 +74,8 @@ impl OracleConfig {
     /// The deterministic argument vector for replay number `i` of a
     /// function with `params` parameters. Small signed values (−4..20):
     /// enough to drive testgen loops both ways without overflowing fuel.
-    fn args_for(&self, rng: &mut ChaosRng, params: u32) -> Vec<i64> {
-        (0..params).map(|_| rng.next_range(24) as i64 - 4).collect()
+    fn args_for(&self, rng: &mut SplitMix64, params: u32) -> Vec<i64> {
+        (0..params).map(|_| rng.below(24) as i64 - 4).collect()
     }
 }
 
@@ -94,7 +94,7 @@ pub fn first_mismatch(orig: &Function, new: &Function, cfg: &OracleConfig) -> Op
     let run_cfg = cfg.run_config();
     let lowered_orig = LoweredProgram::lower(orig);
     let lowered_new = LoweredProgram::lower(new);
-    let mut rng = ChaosRng::new(cfg.seed);
+    let mut rng = SplitMix64::new(cfg.seed);
     for _ in 0..cfg.inputs {
         let args = cfg.args_for(&mut rng, orig.params);
         let Ok(a) = run_lowered(&lowered_orig, &args, &[], &run_cfg) else {

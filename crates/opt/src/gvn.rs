@@ -270,7 +270,7 @@ fn run_global(f: &mut Function) -> bool {
     run_global_scoped(f, None)
 }
 
-/// [`run_global`] restricted to rewrites *landing in* `scope` (when given):
+/// `run_global` restricted to rewrites *landing in* `scope` (when given):
 /// the dominator/invariant analyses still look at the whole function, but
 /// only instructions of the scoped block are rewritten. This is what the
 /// block-scoped trial optimizer needs — global facts, local edits.

@@ -23,9 +23,9 @@
 
 use crate::stats::ServiceStats;
 use crate::{CompileRequest, CompileService, RequestStatus, ServiceConfig};
-use chf_core::chaos::{self, ChaosRng, ChaosSpec, FaultKind};
+use chf_core::chaos::{self, ChaosSpec, FaultKind};
 use chf_core::policy::PolicyKind;
-use chf_ir::testgen::{generate, GenConfig};
+use chf_ir::testgen::{generate, GenConfig, SplitMix64};
 use chf_sim::functional::{profile_run, run, RunConfig};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -246,13 +246,11 @@ fn run_one_service_fault(
     svc: &CompileService,
     fault_seed: u64,
 ) -> (ServiceFaultKind, ServiceOutcome) {
-    let mut rng = ChaosRng::new(fault_seed);
-    let kind = ServiceFaultKind::ALL[rng.next_range(ServiceFaultKind::ALL.len() as u64) as usize];
-    let prog_seed = rng.next_u64();
+    let mut rng = SplitMix64::new(fault_seed);
+    let kind = ServiceFaultKind::ALL[rng.below(ServiceFaultKind::ALL.len() as u64) as usize];
+    let prog_seed = rng.next();
     let mut f = generate(prog_seed, &GenConfig::default());
-    let train: Vec<i64> = (0..f.params)
-        .map(|_| rng.next_range(24) as i64 - 4)
-        .collect();
+    let train: Vec<i64> = (0..f.params).map(|_| rng.below(24) as i64 - 4).collect();
     let mut profile = profile_run(&f, &train, &[]).unwrap_or_default();
 
     let outcome = match kind {
@@ -328,7 +326,7 @@ fn run_one_service_fault(
                         .expect("Done carries the artifact")
                         .function
                         .to_string();
-                    let corrupted = svc.corrupt_cached(&req, rng.next_u64());
+                    let corrupted = svc.corrupt_cached(&req, rng.next());
                     match settle(svc, req) {
                         Err(hung) => hung,
                         Ok(second) => {
@@ -392,8 +390,8 @@ pub fn service_campaign(seed: u64, faults: usize, clients: usize) -> ServiceCamp
         cache_capacity: faults.max(64) * 2,
         ..ServiceConfig::default()
     });
-    let mut master = ChaosRng::new(seed);
-    let seeds: Vec<u64> = (0..faults).map(|_| master.next_u64()).collect();
+    let mut master = SplitMix64::new(seed);
+    let seeds: Vec<u64> = (0..faults).map(|_| master.next()).collect();
     let clients = clients.max(1);
     let chunk = faults.div_ceil(clients).max(1);
 
@@ -519,11 +517,11 @@ pub fn soak(seed: u64, requests: usize, clients: usize, fault_percent: u32) -> S
         queue_capacity: requests + 16,
         ..ServiceConfig::default()
     });
-    let mut master = ChaosRng::new(seed);
+    let mut master = SplitMix64::new(seed);
     let plan: Vec<(u64, bool)> = (0..requests)
         .map(|_| {
-            let s = master.next_u64();
-            let faulty = master.next_range(100) < u64::from(fault_percent);
+            let s = master.next();
+            let faulty = master.below(100) < u64::from(fault_percent);
             (s, faulty)
         })
         .collect();
@@ -548,8 +546,8 @@ pub fn soak(seed: u64, requests: usize, clients: usize, fault_percent: u32) -> S
                             }
                             continue;
                         }
-                        let mut rng = ChaosRng::new(rs);
-                        let f = generate(rng.next_range(HOT_SET), &GenConfig::default());
+                        let mut rng = SplitMix64::new(rs);
+                        let f = generate(rng.below(HOT_SET), &GenConfig::default());
                         let args: Vec<i64> = (0..f.params).map(|i| i as i64 + 3).collect();
                         let profile = profile_run(&f, &args, &[]).unwrap_or_default();
                         match settle(svc, CompileRequest::ir(f, profile)) {

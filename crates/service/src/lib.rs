@@ -314,16 +314,6 @@ pub struct CompileService {
     workers: Vec<JoinHandle<()>>,
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 impl CompileService {
     /// Start a service with `config.workers` worker threads.
     pub fn new(config: ServiceConfig) -> Self {
@@ -836,7 +826,7 @@ fn run_job(inner: &Inner, job: &Job) -> CompileResponse {
             Ok(Err(e)) => e,
             Err(payload) => ChfError::Panicked {
                 context: "service worker",
-                message: panic_text(payload.as_ref()),
+                message: parallel::panic_message(payload.as_ref()),
             },
         };
         if error.is_transient() && retries < MAX_RETRIES {

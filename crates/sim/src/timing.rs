@@ -34,7 +34,7 @@
 //! * **Operand wake-up.** Each instruction is enqueued for issue at the
 //!   cycle its *last* operand or predicate arrives (`ready`, the max of the
 //!   producing availability times). Wake-ups are inserted into a calendar
-//!   **bucket queue** keyed by cycle ([`IssueRing`], a power-of-two ring of
+//!   **bucket queue** keyed by cycle (`IssueRing`, a power-of-two ring of
 //!   per-cycle slot counters whose base rotates forward with block
 //!   dispatch); claiming an issue slot is a forward probe from the wake-up
 //!   bucket, O(1) amortized, replacing the legacy per-instruction hash-map

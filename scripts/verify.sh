@@ -3,14 +3,17 @@
 # report) each one separately while local use stays one command:
 #
 #   scripts/verify.sh            # everything, in order (same as `all`)
-#   scripts/verify.sh all        # fmt, build, lint, test, perf, bench,
-#                                # smoke, tournament, corpus, chaos,
-#                                # service
+#   scripts/verify.sh all        # fmt, build, lint, doc, test, perf,
+#                                # bench, smoke, tournament, corpus,
+#                                # chaos, service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
 #   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
 #                                # -- -D warnings (tests, benches and
 #                                # test-only modules included)
+#   scripts/verify.sh doc        # cargo doc --workspace --no-deps with
+#                                # rustdoc warnings denied (broken or
+#                                # ambiguous intra-doc links fail)
 #   scripts/verify.sh test       # cargo test --workspace -q (every
 #                                # crate's tests, not just the root
 #                                # package's)
@@ -74,6 +77,11 @@ run_build() {
 run_lint() {
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+}
+
+run_doc() {
+    echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 }
 
 run_test() {
@@ -159,6 +167,7 @@ run_all() {
     run_fmt
     run_build
     run_lint
+    run_doc
     run_test
     run_perf
     run_bench
@@ -182,6 +191,7 @@ while [ "$#" -gt 0 ]; do
         fmt) run_fmt ;;
         build) run_build ;;
         lint) run_lint ;;
+        doc) run_doc ;;
         test) run_test ;;
         perf) run_perf ;;
         bench) run_bench ;;
@@ -211,7 +221,7 @@ while [ "$#" -gt 0 ]; do
         all) run_all ;;
         *)
             echo "verify.sh: unknown step '${step}'" >&2
-            echo "usage: scripts/verify.sh [fmt|build|lint|test|perf|bench|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
+            echo "usage: scripts/verify.sh [fmt|build|lint|doc|test|perf|bench|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
             exit 2
             ;;
     esac

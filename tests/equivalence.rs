@@ -6,11 +6,11 @@
 //! training input: on seeded held-out memory images that keep the training
 //! image's addresses and perturb its values.
 
-use chf::core::chaos::ChaosRng;
 use chf::core::constraints::BlockConstraints;
 use chf::core::pipeline::{compile, CompileConfig, PhaseOrdering};
 use chf::core::PolicyKind;
 use chf::ir::function::Function;
+use chf::ir::testgen::SplitMix64;
 use chf::ir::verify::verify;
 use chf::sim::functional::{run, RunConfig};
 use chf::sim::timing::{simulate_timing, TimingConfig};
@@ -27,12 +27,12 @@ fn held_out_memory(w: &Workload, image: u64) -> Vec<(i64, i64)> {
         .name
         .bytes()
         .fold(image, |h, b| (h << 5) ^ (h >> 59) ^ u64::from(b));
-    let mut rng = ChaosRng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     w.memory
         .iter()
         .map(|&(addr, v)| {
             let span = v.unsigned_abs() / 2 + 4;
-            let offset = rng.next_range(2 * span + 1) as i64 - span as i64;
+            let offset = rng.below(2 * span + 1) as i64 - span as i64;
             (addr, v + offset)
         })
         .collect()

@@ -11,7 +11,7 @@ fn table1_convergent_beats_discrete_on_average() {
     let rows = table1::run();
     assert_eq!(rows.len(), 24);
     let avg = |k: usize| -> f64 {
-        rows.iter().map(|r| r.configs[k].improvement).sum::<f64>() / rows.len() as f64
+        rows.iter().map(|r| r.columns[k].improvement).sum::<f64>() / rows.len() as f64
     };
     let (upio, iupo, iup_o, iupo_full) = (avg(0), avg(1), avg(2), avg(3));
     assert!(
@@ -35,8 +35,9 @@ fn table1_convergent_beats_discrete_on_average() {
 #[test]
 fn table2_policy_ordering_matches_paper() {
     let rows = table2::run();
-    let avg =
-        |k: usize| -> f64 { rows.iter().map(|r| r.results[k].2).sum::<f64>() / rows.len() as f64 };
+    let avg = |k: usize| -> f64 {
+        rows.iter().map(|r| r.columns[k].improvement).sum::<f64>() / rows.len() as f64
+    };
     let (vliw, conv_vliw, df, bf) = (avg(0), avg(1), avg(2), avg(3));
     assert!(
         bf > vliw && bf > df,
@@ -48,7 +49,10 @@ fn table2_policy_ordering_matches_paper() {
     );
 
     let bzip2_3 = rows.iter().find(|r| r.name == "bzip2_3").unwrap();
-    let (df_imp, bf_imp) = (bzip2_3.results[2].2, bzip2_3.results[3].2);
+    let (df_imp, bf_imp) = (
+        bzip2_3.columns[2].improvement,
+        bzip2_3.columns[3].improvement,
+    );
     assert!(
         bf_imp > 20.0 && df_imp < 0.0,
         "bzip2_3 pathology: BF {bf_imp:.1} should win, DF {df_imp:.1} should lose"
@@ -57,7 +61,10 @@ fn table2_policy_ordering_matches_paper() {
     // parser_1: the VLIW heuristic's exclusions raise its misprediction
     // rate well above breadth-first's (the paper reports 11×).
     let parser = rows.iter().find(|r| r.name == "parser_1").unwrap();
-    let (vliw_mr, bf_mr) = (parser.results[0].3, parser.results[3].3);
+    let (vliw_mr, bf_mr) = (
+        parser.columns[0].measure.mispredict_rate,
+        parser.columns[3].measure.mispredict_rate,
+    );
     assert!(
         vliw_mr > bf_mr,
         "parser_1 misprediction rates: VLIW {vliw_mr:.3} !> BF {bf_mr:.3}"
@@ -70,8 +77,9 @@ fn table2_policy_ordering_matches_paper() {
 fn table3_block_count_ordering() {
     let rows = table3::run();
     assert_eq!(rows.len(), 19);
-    let avg =
-        |k: usize| -> f64 { rows.iter().map(|r| r.results[k].2).sum::<f64>() / rows.len() as f64 };
+    let avg = |k: usize| -> f64 {
+        rows.iter().map(|r| r.columns[k].improvement).sum::<f64>() / rows.len() as f64
+    };
     let (upio, iupo, iup_o, iupo_full) = (avg(0), avg(1), avg(2), avg(3));
     assert!(iupo > upio, "IUPO {iupo:.1} !> UPIO {upio:.1}");
     assert!(iup_o > iupo, "(IUP)O {iup_o:.1} !> IUPO {iupo:.1}");
@@ -81,7 +89,7 @@ fn table3_block_count_ordering() {
     );
     // Every composite must improve under the convergent ordering.
     for r in &rows {
-        let conv = r.results[3].2;
+        let conv = r.columns[3].improvement;
         assert!(conv > 0.0, "{} did not improve: {conv:.1}", r.name);
     }
 }
@@ -97,7 +105,7 @@ fn table2_budget_hotfirst_at_least_matches_breadth_first() {
     let total = |k: usize| -> u64 {
         rows.iter()
             .filter(|r| r.error.is_none())
-            .map(|r| r.results[k].1)
+            .map(|r| r.columns[k].measure.blocks)
             .sum()
     };
     let (bf, hf) = (total(0), total(1));
@@ -111,7 +119,7 @@ fn table2_budget_hotfirst_at_least_matches_breadth_first() {
         assert!(
             rows.iter()
                 .filter(|r| r.error.is_none())
-                .any(|r| r.results[k].3.budget_skipped > 0),
+                .any(|r| r.columns[k].measure.stats.budget_skipped > 0),
             "column {k}: budget never binds — ablation is vacuous"
         );
     }
@@ -130,15 +138,16 @@ fn table2_portfolio_never_worse_than_any_fixed_policy() {
     let portfolio: u64 = healthy
         .iter()
         .map(|r| {
-            r.portfolio
-                .as_ref()
+            r.columns
+                .last()
                 .expect("healthy row has portfolio")
+                .measure
                 .blocks
         })
         .sum();
     for k in 0..3 {
-        let fixed: u64 = healthy.iter().map(|r| r.results[k].1).sum();
-        let label = healthy[0].results[k].0;
+        let fixed: u64 = healthy.iter().map(|r| r.columns[k].measure.blocks).sum();
+        let label = &healthy[0].columns[k].label;
         assert!(
             portfolio <= fixed,
             "portfolio {portfolio} blocks > fixed {label} {fixed}"
@@ -147,21 +156,23 @@ fn table2_portfolio_never_worse_than_any_fixed_policy() {
     // Per-row dominance too: the winner is selected per function, so it
     // must match or beat every fixed column on every single composite.
     for r in &healthy {
-        let p = r.portfolio.as_ref().unwrap();
-        for (label, blocks, ..) in &r.results {
+        let (p, fixed) = r.columns.split_last().unwrap();
+        for c in fixed {
             assert!(
-                p.blocks <= *blocks,
-                "{}: portfolio {} ({}) > {label} {blocks}",
+                p.measure.blocks <= c.measure.blocks,
+                "{}: portfolio {} ({}) > {} {}",
                 r.name,
-                p.blocks,
-                p.winner
+                p.measure.blocks,
+                p.label,
+                c.label,
+                c.measure.blocks
             );
         }
         assert!(
-            p.stats.tournament_entrants == 6,
+            p.measure.stats.tournament_entrants == 6,
             "{}: portfolio ran {} entrants, expected 6",
             r.name,
-            p.stats.tournament_entrants
+            p.measure.stats.tournament_entrants
         );
     }
 }
