@@ -12,7 +12,7 @@
 //!   `corrupted-cache-entry` and `worker-panic`, delivered through a live
 //!   `chf-service` instance from concurrent client threads. Adds a third
 //!   hard requirement: zero hung requests. The service's own stats
-//!   snapshot is written to `results/service_stats.json`.
+//!   snapshot is written to `target/gate/service_stats.json`.
 //!
 //! * **Service soak** (`--service-soak`): N concurrent requests of which
 //!   ~5% carry an injected fault (`--fault-percent` to change) — the
@@ -27,8 +27,8 @@
 //! directory; the campaign does not list them). The last line on stdout is
 //! always a one-line JSON summary with per-kind counts, for CI consumption;
 //! service modes also write the stats snapshot to
-//! `results/service_stats.json`. Exits non-zero if the campaign fails, for
-//! use as a CI gate.
+//! `target/gate/service_stats.json` (ignored by git). Exits non-zero if the
+//! campaign fails, for use as a CI gate.
 
 use std::path::PathBuf;
 
@@ -48,18 +48,6 @@ fn quiet_injected_panics() {
             prev(info);
         }
     }));
-}
-
-/// Write the service stats snapshot where CI archives failure artifacts.
-fn write_service_stats(stats_json: &str) {
-    if std::fs::create_dir_all("results").is_ok() {
-        let path = PathBuf::from("results/service_stats.json");
-        if let Err(e) = std::fs::write(&path, format!("{stats_json}\n")) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("  service stats: {}", path.display());
-        }
-    }
 }
 
 fn main() {
@@ -117,7 +105,7 @@ fn main() {
             report.stats.p50_compile_us,
             report.stats.p99_compile_us
         );
-        write_service_stats(&report.stats.json());
+        chf_bench::write_summary("service_stats.json", &report.stats.json());
         let ok = report.ok();
         if ok {
             println!("PASS: every request terminal, none hung, none wrong");
@@ -140,7 +128,7 @@ fn main() {
         );
         let report = chf_service::chaos::service_campaign(seed, faults, clients);
         println!("{report}");
-        write_service_stats(&report.stats.json());
+        chf_bench::write_summary("service_stats.json", &report.stats.json());
         let ok = report.ok();
         if ok {
             println!("PASS: no aborts, no miscompiles, no hung requests");

@@ -17,8 +17,9 @@
 //! [--no-admit]`. Environment: `CHF_JOBS` caps replay workers;
 //! `CHF_CORPUS_REPLAY_CEILING_S` (default 10) is the replay-time budget the
 //! gate enforces. The last line on stdout is always a one-line JSON
-//! summary, also written to `results/corpus_summary.json`. Exits non-zero
-//! on drift, chaos failure, or a blown replay-time budget.
+//! summary, also written to `target/gate/corpus_summary.json` (ignored by
+//! git). Exits non-zero on drift, chaos failure, or a blown replay-time
+//! budget.
 
 use chf_corpus::{replay_corpus, run_fuzz, FuzzConfig};
 use chf_service::parallel::workers;
@@ -144,14 +145,7 @@ fn main() {
         }
     };
 
-    if std::fs::create_dir_all("results").is_ok() {
-        let path = PathBuf::from("results/corpus_summary.json");
-        if let Err(e) = std::fs::write(&path, format!("{summary}\n")) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("  summary: {}", path.display());
-        }
-    }
+    chf_bench::write_summary("corpus_summary.json", &summary);
     if ok {
         println!("PASS: corpus replays clean");
     } else {

@@ -15,7 +15,9 @@
 //! 4. **Shape-cache hot path** — a second pass over the suite through the
 //!    same service is answered by the CFG-shape winner cache: every
 //!    tournament is a shape hit and the amortized entrants-per-tournament
-//!    counter falls below the portfolio size.
+//!    counter falls below the portfolio size. On both passes the entrant
+//!    count is exact: one per shape hit, the whole portfolio per miss and
+//!    per guard fallback.
 //!
 //! Exits non-zero on any violation; `scripts/verify.sh tournament` and CI
 //! run it with the freshly generated CSV left on disk as a failure
@@ -23,6 +25,7 @@
 
 use chf_bench::table2::{self, DEFAULT_TRIAL_BUDGET};
 use chf_core::TournamentConfig;
+use chf_service::stats::ServiceStats;
 use chf_service::{CompileService, ServiceConfig, TournamentRequest};
 use chf_workloads::spec_suite;
 
@@ -140,6 +143,7 @@ fn main() {
     // 4. Shape-cache hot path: one service, two passes.
     println!("tournament: shape-cache hot path");
     let svc = CompileService::new(ServiceConfig::default());
+    let start = svc.stats();
     for req in &reqs {
         svc.compile_tournament(req).expect("cold tournament");
     }
@@ -159,6 +163,19 @@ fn main() {
         }
     }
     let hot = svc.stats();
+    for (pass, before, after) in [("cold", &start, &cold), ("hot", &cold, &hot)] {
+        let d = |f: fn(&ServiceStats) -> u64| f(after) - f(before);
+        let entrants = d(|s| s.tournament_entrants);
+        let expected = d(|s| s.shape_hits)
+            + portfolio_size as u64 * (d(|s| s.shape_misses) + d(|s| s.guard_fallbacks));
+        if entrants != expected {
+            eprintln!(
+                "CHECK FAILED: {pass} pass ran {entrants} entrants, but its shape-cache \
+                 path accounts for {expected}"
+            );
+            failed = true;
+        }
+    }
     let amortized = hot.entrants_per_tournament();
     println!(
         "  {} tournaments, {} shape hits, {} guard fallbacks, amortized {:.2} entrants/tournament",

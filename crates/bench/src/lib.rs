@@ -23,8 +23,8 @@
 //! shared by every table.
 //!
 //! Binaries `table1`/`table2`/`table3`/`fig7`/`whole_program`/`summary`
-//! print the tables; `bench_perf` measures compile-time and simulator
-//! throughput.
+//! print the tables. Speed is measured and gated by the separate
+//! `perfbench` package (`scripts/verify.sh perf`), not by this crate.
 
 pub mod csv;
 pub mod fig7;
@@ -40,6 +40,19 @@ pub mod whole_program;
 // here so harness code and docs keep their historical `chf_bench::parallel`
 // path.
 pub use chf_service::parallel;
+
+/// Write a gate binary's one-line JSON summary to `target/gate/<name>`,
+/// relative to the working directory, for CI failure artifacts. The build
+/// directory is ignored by git, so a gate run never rewrites a tracked
+/// file. A failed write only warns: the same line is also on stdout.
+pub fn write_summary(name: &str, json: &str) {
+    let dir = std::path::Path::new("target/gate");
+    let path = dir.join(name);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, format!("{json}\n"))) {
+        Ok(()) => println!("  summary: {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+}
 
 use chf_core::pipeline::{try_compile, CompileConfig, PhaseOrdering};
 use chf_core::FormationStats;

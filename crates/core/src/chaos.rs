@@ -29,6 +29,7 @@ use chf_ir::instr::Pred;
 use chf_ir::profile::ProfileData;
 use chf_ir::testgen::{generate, GenConfig, SplitMix64};
 use chf_sim::functional::profile_run;
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -179,21 +180,21 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
         }
         FaultKind::TruncatedEdgeProfile => {
             // Drop roughly half the edge counts, keyed on the seeded stream
-            // so the truncation pattern is reproducible.
+            // and each edge's sorted position so the truncation pattern is
+            // reproducible.
             let keep = rng.next();
-            let mut i = 0u64;
-            profile.exit_counts.retain(|_, _| {
-                i = i.wrapping_add(1);
-                (keep >> (i % 64)) & 1 == 0
-            });
+            for (i, k) in sorted_keys(&profile.exit_counts).iter().enumerate() {
+                if (keep >> ((i + 1) % 64)) & 1 != 0 {
+                    profile.exit_counts.remove(k);
+                }
+            }
         }
         FaultKind::ScrambledEdgeProfile => {
             // Rotate the edge counts among entries (sorted keys, so the
             // permutation is seed-stable) and scale each to an extreme,
             // then push block counts to 0 or `u64::MAX`. The IR stays
             // valid; only the ordering signals are garbage.
-            let mut keys: Vec<(BlockId, usize)> = profile.exit_counts.keys().copied().collect();
-            keys.sort_unstable();
+            let keys = sorted_keys(&profile.exit_counts);
             if !keys.is_empty() {
                 let mut vals: Vec<u64> = keys.iter().map(|k| profile.exit_counts[k]).collect();
                 let rot = rng.below(vals.len() as u64) as usize;
@@ -203,12 +204,22 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
                     profile.exit_counts.insert(*k, v.saturating_mul(scale));
                 }
             }
-            for n in profile.block_counts.values_mut() {
-                *n = if rng.below(2) == 0 { 0 } else { u64::MAX };
+            for b in sorted_keys(&profile.block_counts) {
+                let n = if rng.below(2) == 0 { 0 } else { u64::MAX };
+                profile.block_counts.insert(b, n);
             }
         }
         FaultKind::MidTrial => {}
     }
+}
+
+/// The keys of `m` in ascending order. `ProfileData`'s maps iterate in a
+/// per-map random order, so every injection that draws from the seeded
+/// stream per entry, or picks entries by position, walks this instead.
+fn sorted_keys<K: Copy + Ord, V>(m: &HashMap<K, V>) -> Vec<K> {
+    let mut keys: Vec<K> = m.keys().copied().collect();
+    keys.sort_unstable();
+    keys
 }
 
 /// Corrupt the merged block `hb` *inside* a merge-trial window — the
@@ -554,6 +565,27 @@ mod tests {
             let mut p = profile_run(&f, &[3, 7], &[]).unwrap();
             inject(&mut f, &mut p, kind, &mut rng);
             chf_ir::verify::verify_full(&f).unwrap();
+        }
+    }
+
+    #[test]
+    fn profile_faults_do_not_depend_on_map_order() {
+        // Two separately built profiles hold the same counts in different
+        // hash orders; the same kind and seed must corrupt both alike.
+        for kind in FaultKind::ALL {
+            for seed in 0..16 {
+                let f = generate(seed, &GenConfig::default());
+                let inject_fresh = || {
+                    let mut g = f.clone();
+                    let mut p = profile_run(&g, &[3, 7], &[]).unwrap();
+                    inject(&mut g, &mut p, kind, &mut SplitMix64::new(seed));
+                    p
+                };
+                let (a, b) = (inject_fresh(), inject_fresh());
+                assert_eq!(a.exit_counts, b.exit_counts, "{kind} seed {seed}");
+                assert_eq!(a.block_counts, b.block_counts, "{kind} seed {seed}");
+                assert_eq!(a.trip_histograms, b.trip_histograms, "{kind} seed {seed}");
+            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! Lifecycle edge cases of the compile service: backpressure at zero
 //! capacity, degraded-by-deadline responses, the retry cap, and the
-//! determinism guarantees of the formation cache (byte-identical hits,
-//! worker-count independence).
+//! determinism guarantees of the formation cache (byte-identical hits, a
+//! whole suite served from the cache on its second pass, worker-count
+//! independence).
 
 use chf_core::ChfError;
 use chf_ir::testgen::{generate, GenConfig};
@@ -129,6 +130,40 @@ fn identical_submissions_hit_the_cache_byte_identically() {
     let stats = svc.stats();
     assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
     assert_eq!(stats.cache_hit_rate(), 0.5);
+}
+
+#[test]
+fn second_suite_pass_is_served_entirely_from_the_cache() {
+    // The 24 microbenchmarks, submitted all at once and then again through
+    // the same service: every second-pass request must be a cache hit
+    // whose artifact and statistics match its cold compile byte for byte.
+    let suite = chf_workloads::microbenchmarks();
+    let svc = CompileService::new(ServiceConfig::default());
+    let pass = || -> Vec<(bool, String)> {
+        let ids: Vec<_> = suite
+            .iter()
+            .map(|w| svc.submit(CompileRequest::ir(w.function.clone(), w.profile.clone())))
+            .collect();
+        ids.into_iter()
+            .zip(&suite)
+            .map(|(id, w)| {
+                let resp = svc.wait(id);
+                assert_eq!(resp.status, RequestStatus::Done, "{}", w.name);
+                let c = resp.compiled.unwrap();
+                (resp.cache_hit, format!("{}{:?}", c.function, c.stats))
+            })
+            .collect()
+    };
+    let cold = pass();
+    let hot = pass();
+    for ((w, c), h) in suite.iter().zip(&cold).zip(&hot) {
+        assert!(!c.0, "{}: first pass hit the cache", w.name);
+        assert!(h.0, "{}: second pass missed the cache", w.name);
+        assert_eq!(c.1, h.1, "{}: cached artifact differs", w.name);
+    }
+    let stats = svc.stats();
+    let n = suite.len() as u64;
+    assert_eq!((stats.cache_hits, stats.cache_misses), (n, n));
 }
 
 #[test]

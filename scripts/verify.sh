@@ -17,7 +17,9 @@
 #   scripts/verify.sh test       # cargo test --workspace -q (every
 #                                # crate's tests, not just the root
 #                                # package's)
-#   scripts/verify.sh perf       # bench_perf --check (perf regression gate)
+#   scripts/verify.sh perf       # speed gate: perfbench's calibrated
+#                                # untraced ops_per_s for `simulate` and
+#                                # `compile` must stay above fixed floors
 #   scripts/verify.sh bench      # perfbench self-tests: metric names match
 #                                # BENCHMARK.json, the compile mirror equals
 #                                # try_compile, workloads are deterministic
@@ -30,8 +32,8 @@
 #   scripts/verify.sh corpus     # trace-corpus gate: replay every entry
 #                                # under tests/corpus/ (zero drift, <10 s),
 #                                # then a 500-fault + coverage-guided fuzz
-#                                # smoke; summary at
-#                                # results/corpus_summary.json
+#                                # smoke that admits nothing; summary at
+#                                # target/gate/corpus_summary.json
 #   scripts/verify.sh chaos [N]  # fault-injection campaign (default 500)
 #   scripts/verify.sh service [N] # compile-service gate: concurrent soak
 #                                # with ~5% injected faults (default 200
@@ -42,12 +44,6 @@
 #
 # Environment knobs (all optional):
 #
-#   CHF_BENCH_CEILING_MS     Wall-time ceiling for the end-to-end Table 1
-#                            regeneration in `perf` (default 100). Raise on
-#                            slow or shared machines, e.g. CI runners.
-#   CHF_BENCH_SIM_FLOOR_MCPS Per-call simulator throughput floor in
-#                            Mcycles/s for `perf` (default 23.8). Lower on
-#                            slow machines.
 #   CHF_JOBS                 Worker count for the parallel evaluation
 #                            harness (default: available parallelism).
 #   CHF_FAULT_SEED           Pins the `chaos` campaign's fault stream so a
@@ -89,13 +85,51 @@ run_test() {
     cargo test --workspace -q
 }
 
-# Asserts the end-to-end Table 1 regeneration stays under a generous
-# wall-time ceiling, that per-call simulator throughput stays above the
-# post-event-core floor, and that the parallel harness produces
-# byte-identical output to the sequential path.
+# The speed gate. Runs the repository benchmark (the BENCHMARK.json
+# command) untraced on seed 1 and fails when a workload's end-to-end
+# ops_per_s falls below its floor. ops_per_s is the median over the run's
+# timed passes, scaled by perfbench's calibration kernel to the reference
+# machine's speed, so the floors are constants and need no per-machine knob.
+#
+#   simulate  the simulator throughput floor: a return to the legacy
+#             direct-interpretation timing core reads ~2900 against ~4400.
+#   compile   the Table 1 ceiling (Table 1's cost is ~95% compile): undoing
+#             clean-block skipping reads ~255 against ~375.
+#
+# Each floor sits about halfway, on a log scale, between the slowest run
+# measured on the 2-core reference machine and the fastest sabotaged run
+# (CHANGES.md has the numbers). Run lengths give each run at least
+# PERF_MIN_PASSES timed passes on that machine even under neighbour load;
+# a run with fewer fails rather than gate on a thin median.
+PERF_MIN_PASSES=7
+
+# perf_floor WORKLOAD SECONDS FLOOR
+perf_floor() {
+    if ! out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds "$2" --trace 0 2>&1)"; then
+        printf '%s\n' "${out}"
+        echo "perf: perfbench $1 failed" >&2
+        return 1
+    fi
+    ops="$(printf '%s\n' "${out}" | awk '$1 == "ops_per_s" { print $2 }')"
+    passes="$(printf '%s\n' "${out}" | awk '/ timed passes, / { print $1 }')"
+    echo "perf: $1 ops_per_s ${ops} (floor $3, ${passes} timed passes)"
+    rc=0
+    if ! awk -v ops="${ops:-0}" -v floor="$3" 'BEGIN { exit !(ops >= floor) }'; then
+        echo "perf: $1 ops_per_s ${ops} is below the floor $3" >&2
+        rc=1
+    fi
+    if [ "${passes:-0}" -lt "${PERF_MIN_PASSES}" ]; then
+        echo "perf: $1 ran ${passes:-0} timed passes, fewer than ${PERF_MIN_PASSES}" >&2
+        rc=1
+    fi
+    return "${rc}"
+}
+
 run_perf() {
-    echo "==> bench_perf --check"
-    cargo run --release -p chf-bench --bin bench_perf -- --check
+    echo "==> perfbench simulate + compile (calibrated ops_per_s floors)"
+    perf_floor simulate 8 3600
+    perf_floor compile 16 305
 }
 
 # Runs the repository benchmark's own tests (perfbench is not a workspace
@@ -133,11 +167,14 @@ run_tournament() {
 # Replays every persistent trace-corpus entry through compile → oracle →
 # event-sim and fails on any digest or outcome drift, then runs the
 # CI-blocking fuzz smoke (500 chaos faults feeding the coverage map plus a
-# short coverage-guided generation loop). The one-line JSON summary lands
-# in results/corpus_summary.json for CI failure artifacts.
+# short coverage-guided generation loop). --no-admit keeps the committed
+# corpus as it is, so every run replays the same entries; admitting new
+# ones is the nightly `fuzz --long` campaign's job. The one-line JSON
+# summary lands in target/gate/corpus_summary.json for CI failure
+# artifacts.
 run_corpus() {
-    echo "==> fuzz --smoke (trace-corpus replay + coverage-guided fuzz smoke)"
-    cargo run --release -p chf-bench --bin fuzz -- --smoke
+    echo "==> fuzz --smoke --no-admit (trace-corpus replay + coverage-guided fuzz smoke)"
+    cargo run --release -p chf-bench --bin fuzz -- --smoke --no-admit
 }
 
 # Injects N seeded faults (IR corruption, profile corruption, scrambled
@@ -154,7 +191,7 @@ run_chaos() {
 # state with sane stats, then runs the full service-level chaos campaign
 # (all fault kinds incl. corrupted-cache-entry, 4 concurrent clients,
 # zero aborts / miscompiles / hung requests). The service's stats snapshot
-# lands in results/service_stats.json for CI failure artifacts.
+# lands in target/gate/service_stats.json for CI failure artifacts.
 run_service() {
     requests="${1:-200}"
     echo "==> chaos --service-soak ${requests} (compile-service soak smoke)"

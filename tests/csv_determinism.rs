@@ -24,13 +24,16 @@ fn committed(name: &str) -> String {
 }
 
 /// Regenerate Table 1 (and its derived Figure 7) with several worker counts
-/// and diff against the committed archives.
+/// and diff against the committed archives. The rendered text table has no
+/// archive, so it is compared across the worker counts instead.
 #[test]
 fn table1_and_fig7_csvs_are_reproducible() {
     let expected_t1 = committed("table1.csv");
     let expected_f7 = committed("fig7.csv");
+    let mut rendered = Vec::new();
     for workers in [1, 4] {
         let rows = table1::run_with(workers);
+        rendered.push(table1::render(&rows));
         assert_eq!(
             table1::csv(&rows),
             expected_t1,
@@ -44,6 +47,10 @@ fn table1_and_fig7_csvs_are_reproducible() {
             "fig7.csv drifted (workers={workers})"
         );
     }
+    assert_eq!(
+        rendered[0], rendered[1],
+        "rendered Table 1 differs between 1 and 4 workers"
+    );
 }
 
 /// Regenerate Table 2 through the parallel harness and diff.
